@@ -64,6 +64,13 @@ class HoldLastValuePredictor(Forecaster):
     def trained(self) -> bool:
         return self._last is not None
 
+    def state(self) -> Optional[Tuple[float, float]]:
+        """The held ``(time, value)`` pair (immutable)."""
+        return self._last
+
+    def set_state(self, state: Optional[Tuple[float, float]]) -> None:
+        self._last = state
+
 
 class LMSPredictor(Forecaster):
     """Least-mean-squares forecaster on a polynomial time basis.
@@ -116,6 +123,13 @@ class LMSPredictor(Forecaster):
     @property
     def trained(self) -> bool:
         return self._count >= self.min_training_samples
+
+    def state(self) -> tuple:
+        """Weights (replaced per update, so shared), time reference, count."""
+        return self._weights, self._reference_time, self._count
+
+    def set_state(self, state: tuple) -> None:
+        self._weights, self._reference_time, self._count = state
 
 
 class KalmanChannelPredictor(Forecaster):
@@ -196,6 +210,14 @@ class KalmanChannelPredictor(Forecaster):
     @property
     def trained(self) -> bool:
         return self._count >= self.min_training_samples
+
+    def state(self) -> tuple:
+        """State and covariance (replaced per update, so shared), last
+        update time and count."""
+        return self._state, self._cov, self._last_time, self._count
+
+    def set_state(self, state: tuple) -> None:
+        self._state, self._cov, self._last_time, self._count = state
 
 
 class ChiSquareDetector:

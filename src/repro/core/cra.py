@@ -11,7 +11,8 @@ experiments, by an explicit list of instants (k = 15, 50, 175, 182, …).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence
+from bisect import bisect_left
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["PRBSGenerator", "ChallengeSchedule"]
 
@@ -91,8 +92,11 @@ class ChallengeSchedule:
 
     def __init__(self, times: Iterable[float]):
         self._times: FrozenSet[float] = frozenset(float(t) for t in times)
-        if any(t < 0.0 for t in self._times):
-            raise ValueError("challenge times must be non-negative")
+        if any(not t >= 0.0 for t in self._times):
+            raise ValueError("challenge times must be non-negative (not NaN)")
+        # Exact hits use the set; near-misses and "next instant" queries
+        # bisect the sorted instants.
+        self._sorted: Tuple[float, ...] = tuple(sorted(self._times))
 
     @classmethod
     def from_times(cls, times: Iterable[float]) -> "ChallengeSchedule":
@@ -144,17 +148,25 @@ class ChallengeSchedule:
         return cls(times)
 
     def is_challenge(self, time: float, tolerance: float = 1e-9) -> bool:
-        """True when ``time`` is a challenge instant."""
+        """True when ``time`` lies within ``tolerance`` of an instant.
+
+        Only the two instants around ``time`` can be nearest, so the
+        near-miss check looks at those two alone.
+        """
         if time in self._times:
             return True
         if tolerance > 0.0:
-            return any(abs(time - t) <= tolerance for t in self._times)
+            times = self._sorted
+            index = bisect_left(times, time)
+            if index < len(times) and abs(time - times[index]) <= tolerance:
+                return True
+            return index > 0 and abs(time - times[index - 1]) <= tolerance
         return False
 
     @property
     def times(self) -> Sequence[float]:
         """Challenge instants, sorted ascending."""
-        return tuple(sorted(self._times))
+        return self._sorted
 
     def __len__(self) -> int:
         return len(self._times)
@@ -168,5 +180,10 @@ class ChallengeSchedule:
         This is the soonest an attack starting at ``time`` can be
         detected — the structural bound on detection latency.
         """
-        later = [t for t in self._times if t >= time]
-        return min(later) if later else None
+        times = self._sorted
+        index = bisect_left(times, time)
+        # The comparison also turns a NaN query (which bisects to 0)
+        # into None.
+        if index < len(times) and times[index] >= time:
+            return times[index]
+        return None

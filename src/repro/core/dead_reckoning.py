@@ -25,7 +25,6 @@ quality, not on the follower's state.
 
 from __future__ import annotations
 
-import copy
 from typing import List, Optional, Tuple
 
 from repro.core.predictor import ChannelPredictor, Forecaster, MeasurementEstimator
@@ -169,9 +168,13 @@ class DeadReckoningEstimator(MeasurementEstimator):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> object:
-        """Capture the estimator state; starts a fresh quarantine log."""
+        """Capture the estimator state; starts a fresh quarantine log.
+
+        The record holds the leader-velocity forecaster's state record
+        and the (immutable) gap anchor and last trusted time.
+        """
         state = (
-            copy.deepcopy(self.leader_velocity_predictor),
+            self.leader_velocity_predictor.state(),
             self._anchor,
             self._last_trusted_time,
         )
@@ -198,7 +201,7 @@ class DeadReckoningEstimator(MeasurementEstimator):
         the safety margin covers.
         """
         predictor, anchor, last_trusted = snapshot  # type: ignore[misc]
-        self.leader_velocity_predictor = copy.deepcopy(predictor)
+        self.leader_velocity_predictor.set_state(predictor)
         self._anchor = anchor
         self._last_trusted_time = last_trusted
         if self._anchor is None:

@@ -14,7 +14,6 @@ two channels (distance and relative velocity).
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 from typing import List, Optional, Tuple
 
@@ -40,6 +39,10 @@ class Forecaster(ABC):
     sensor is trusted and *queried* with :meth:`forecast` while it is
     not.  Implementations must tolerate interleaved observe/forecast
     calls (attacks can end and restart).
+
+    :meth:`state`/:meth:`set_state` capture and restore everything
+    training changes, as a record that later calls never modify; the
+    estimators build their rollback snapshots from these records.
     """
 
     @abstractmethod
@@ -54,6 +57,14 @@ class Forecaster(ABC):
     @abstractmethod
     def trained(self) -> bool:
         """True once enough samples have been observed to forecast."""
+
+    @abstractmethod
+    def state(self) -> object:
+        """The training state, as a record later calls never modify."""
+
+    @abstractmethod
+    def set_state(self, state: object) -> None:
+        """Return to a record captured by :meth:`state`."""
 
 
 class ChannelPredictor(Forecaster):
@@ -150,6 +161,30 @@ class ChannelPredictor(Forecaster):
     def residual_std(self) -> float:
         """Exponentially-weighted one-step residual standard deviation."""
         return float(np.sqrt(max(0.0, self._residual_variance)))
+
+    def state(self) -> tuple:
+        """RLS weights/covariance/count, the sample history, the AR
+        rollout cache, the time reference and the residual level.
+
+        The RLS arrays are shared (they are replaced, never written);
+        the two lists are frozen into tuples of ``(t, v)`` pairs.
+        """
+        return (
+            self.rls.state(),
+            tuple(self._history),
+            tuple(self._rollout),
+            self._reference_time,
+            self._residual_variance,
+        )
+
+    def set_state(self, state: tuple) -> None:
+        """Return to a record captured by :meth:`state`."""
+        rls, history, rollout, reference_time, residual_variance = state
+        self.rls.set_state(rls)
+        self._history = list(history)
+        self._rollout = list(rollout)
+        self._reference_time = reference_time
+        self._residual_variance = residual_variance
 
     def observe(self, time: float, value: float) -> None:
         """Feed one trusted sample through Algorithm 1."""
@@ -281,6 +316,19 @@ class MeasurementEstimator(ABC):
     at every *clean* challenge response and, when an attack is detected,
     rolls back to the last authenticated state (samples between the last
     clean challenge and the detection may already be corrupted).
+
+    Snapshot contract: a snapshot is an explicit record of exactly the
+    fields that observe/forecast change — forecaster records
+    (:meth:`Forecaster.state`), sample windows as tuples, counters —
+    and nothing observe/forecast do afterwards may change it.  A record
+    may share an object with the live estimator only when nothing
+    writes into it afterwards: arrays that updates replace rather than
+    modify (RLS weights, the reconstructed state) and cache entries
+    that are pure functions of their key (dt-keyed solver geometries
+    and transitions), which is why sharing them is safe.  Mutable
+    containers (lists, LRU dicts) are copied on both sides, so
+    :meth:`restore` leaves the snapshot intact and one snapshot can be
+    restored any number of times.
     """
 
     @property
@@ -300,13 +348,13 @@ class MeasurementEstimator(ABC):
     ) -> Tuple[float, float]:
         """Estimated ``(distance, relative_velocity)`` at ``time``."""
 
+    @abstractmethod
     def snapshot(self) -> object:
-        """Capture the estimator state (default: deep copy of ``self``)."""
-        return copy.deepcopy(self.__dict__)
+        """Capture the estimator state as an explicit record."""
 
+    @abstractmethod
     def restore(self, snapshot: object) -> None:
-        """Roll back to a previously captured state."""
-        self.__dict__ = copy.deepcopy(snapshot)  # type: ignore[assignment]
+        """Roll back to a record captured by :meth:`snapshot`."""
 
 
 class RadarChannelEstimator(MeasurementEstimator):
@@ -353,3 +401,13 @@ class RadarChannelEstimator(MeasurementEstimator):
             self.distance_predictor.forecast(time),
             self.velocity_predictor.forecast(time),
         )
+
+    def snapshot(self) -> object:
+        """The two channel forecasters' state records."""
+        return self.distance_predictor.state(), self.velocity_predictor.state()
+
+    def restore(self, snapshot: object) -> None:
+        """Roll both channels back to ``snapshot``."""
+        distance, velocity = snapshot  # type: ignore[misc]
+        self.distance_predictor.set_state(distance)
+        self.velocity_predictor.set_state(velocity)

@@ -101,6 +101,19 @@ class RLSEstimator:
         self._P = self.delta * np.eye(self.n_params)
         self._updates = 0
 
+    def state(self) -> Tuple[np.ndarray, np.ndarray, int]:
+        """``(w, P, n_updates)`` as a rollback record.
+
+        :meth:`update` and :meth:`reset` replace ``w`` and ``P`` with
+        new arrays and never write into them, so the record can share
+        the arrays instead of copying them.
+        """
+        return self._weights, self._P, self._updates
+
+    def set_state(self, state: Tuple[np.ndarray, np.ndarray, int]) -> None:
+        """Return to a record captured by :meth:`state`."""
+        self._weights, self._P, self._updates = state
+
     @property
     def weights(self) -> np.ndarray:
         """Current weight estimate ``w_k`` (copy)."""

@@ -103,8 +103,8 @@ def follower_relative_system(
 
 
 def _transition_builder(dt: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact ``(A, B)`` for one interval — module-level so estimator
-    snapshots (deep copies) never capture a bound-method cycle."""
+    """Exact ``(A, B)`` for one interval — module-level, so the
+    transition cache holds no bound method of the estimator."""
     A, B, _ = follower_relative_system(dt)
     return A, B
 
@@ -331,6 +331,51 @@ class SecureReconstructionEstimator(MeasurementEstimator):
             "transition_misses": self._transition_cache.misses,
             "transition_evictions": self._transition_cache.evictions,
         }
+
+    def snapshot(self) -> object:
+        """The window rows, reconstructed state, report and counters,
+        plus the solver's and transition cache's records.
+
+        ``_state``/``_cov``/``last_result`` are replaced, never written,
+        so they are shared; the window is frozen into a tuple.  The
+        caches and their counters roll back with the rest, so the
+        :meth:`search_stats` a run stores in its ``defense_stats`` count
+        only the steps that survived the rollback.
+        """
+        return (
+            tuple(self._samples),
+            self._state,
+            self._cov,
+            self._last_speed,
+            self.last_result,
+            self.inconsistent_windows,
+            self.fallback_windows,
+            self.windows_solved,
+            self.subsets_searched,
+            self.subsets_pruned,
+            self._solver.state(),
+            self._transition_cache.state(),
+        )
+
+    def restore(self, snapshot: object) -> None:
+        """Roll back to a record captured by :meth:`snapshot`."""
+        (
+            samples,
+            self._state,
+            self._cov,
+            self._last_speed,
+            self.last_result,
+            self.inconsistent_windows,
+            self.fallback_windows,
+            self.windows_solved,
+            self.subsets_searched,
+            self.subsets_pruned,
+            solver,
+            transitions,
+        ) = snapshot  # type: ignore[misc]
+        self._samples = list(samples)
+        self._solver.set_state(solver)
+        self._transition_cache.set_state(transitions)
 
     def _adopt(self, end_time: float, candidate) -> None:
         """Take a candidate's end-of-window state and its covariance."""

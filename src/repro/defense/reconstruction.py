@@ -278,6 +278,19 @@ class TransitionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def state(self) -> tuple:
+        """Entries (in LRU order) and counters, as a rollback record.
+
+        The dict is copied; its ``(A, B)`` values are pure functions of
+        their key and never written, so they are shared.
+        """
+        return dict(self._entries), self.hits, self.misses, self.evictions
+
+    def set_state(self, state: tuple) -> None:
+        """Return to a record captured by :meth:`state`."""
+        entries, self.hits, self.misses, self.evictions = state
+        self._entries = dict(entries)
+
     def __call__(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
         key = round(float(dt), _DT_KEY_DECIMALS)
         cached = self._entries.get(key)
@@ -634,6 +647,35 @@ class IncrementalWindowSolver:
         self.geometry_misses = 0
         self.geometry_extensions = 0
         self.subsets_solved = 0
+
+    def state(self) -> tuple:
+        """Geometry LRU, observability memo and counters, as a record.
+
+        The dicts are copied.  The cached geometries are pure functions
+        of their dt-key (a subset kernel added to one later only fills
+        its cache), so they are shared.
+        """
+        return (
+            dict(self._geometries),
+            dict(self._guaranteed),
+            self.geometry_hits,
+            self.geometry_misses,
+            self.geometry_extensions,
+            self.subsets_solved,
+        )
+
+    def set_state(self, state: tuple) -> None:
+        """Return to a record captured by :meth:`state`."""
+        (
+            geometries,
+            guaranteed,
+            self.geometry_hits,
+            self.geometry_misses,
+            self.geometry_extensions,
+            self.subsets_solved,
+        ) = state
+        self._geometries = dict(geometries)
+        self._guaranteed = dict(guaranteed)
 
     # -- geometry management -------------------------------------------
 

@@ -27,7 +27,11 @@ the current version (or none at all — pre-versioning specs are version
 1 by definition) and raises
 :class:`~repro.exceptions.ConfigurationError` for anything else, so a
 spec from a future format fails loudly instead of being silently
-misread.  The version also travels through
+misread.  Every number in a spec must also be finite (the one
+exception is an attack ``end`` of ``+inf``, an attack that never
+stops); a NaN or infinity raises
+:class:`~repro.exceptions.ConfigurationError` naming the field.  The
+version also travels through
 :func:`repro.store.fingerprint.fingerprint_payload` (which serializes
 scenarios via :func:`scenario_to_dict`), salting every run-store
 fingerprint with the spec format revision.
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -219,6 +224,28 @@ _SCALAR_FIELDS = (
 )
 
 
+#: Dotted spec fields where ``+inf`` is meaningful (an attack window
+#: that never closes); every other number must be finite.
+_UNBOUNDED_FIELDS = frozenset({"attack.end"})
+
+
+def _check_finite(value: Any, field: str) -> None:
+    """Reject NaN/±inf anywhere in ``value``, naming the dotted field."""
+    if isinstance(value, float):
+        if not math.isfinite(value) and not (
+            value == math.inf and field in _UNBOUNDED_FIELDS
+        ):
+            raise ConfigurationError(
+                f"spec field {field!r} must be finite, got {value!r}"
+            )
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{field}.{key}" if field else str(key))
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _check_finite(item, f"{field}[{index}]")
+
+
 def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
     """Serialize a scenario to a JSON-compatible dict."""
     spec: Dict[str, Any] = {"spec_version": SPEC_VERSION}
@@ -242,7 +269,8 @@ def scenario_from_dict(spec: Dict[str, Any]) -> Scenario:
 
     Raises :class:`~repro.exceptions.ConfigurationError` when the spec
     declares a ``spec_version`` this library does not read (missing
-    means version 1 — the format before versioning was introduced).
+    means version 1 — the format before versioning was introduced), or
+    when any number in it is NaN or infinite (see the module notes).
     """
     version = spec.get("spec_version", SPEC_VERSION)
     if version not in READABLE_SPEC_VERSIONS:
@@ -252,6 +280,7 @@ def scenario_from_dict(spec: Dict[str, Any]) -> Scenario:
         )
     if "leader_profile" not in spec:
         raise ConfigurationError("a scenario spec requires 'leader_profile'")
+    _check_finite(spec, "")
     kwargs: Dict[str, Any] = {
         field: spec[field] for field in _SCALAR_FIELDS if field in spec
     }

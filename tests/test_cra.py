@@ -1,5 +1,7 @@
 """Challenge-response scheduling (repro.core.cra)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,6 +128,10 @@ class TestChallengeScheduleExplicit:
         with pytest.raises(ValueError):
             ChallengeSchedule.from_times([-1.0])
 
+    def test_rejects_nan_times(self):
+        with pytest.raises(ValueError):
+            ChallengeSchedule.from_times([1.0, math.nan])
+
     def test_next_challenge_bound(self):
         # The structural detection-latency bound the paper achieves.
         schedule = ChallengeSchedule.from_times([15.0, 50.0, 175.0, 182.0])
@@ -169,3 +175,71 @@ class TestChallengeScheduleRandom:
     def test_property_all_times_within_horizon(self, seed):
         schedule = ChallengeSchedule.random(horizon=100.0, rate=0.1, seed=seed)
         assert all(0.0 <= t <= 100.0 for t in schedule.times)
+
+
+def linear_is_challenge(instants, time, tolerance):
+    """The scan ``is_challenge`` ran before the sorted lookup."""
+    if time in instants:
+        return True
+    if tolerance > 0.0:
+        return any(abs(time - t) <= tolerance for t in instants)
+    return False
+
+
+def linear_next_challenge(instants, time):
+    """The scan ``next_challenge_at_or_after`` ran before ``bisect``."""
+    later = [t for t in instants if t >= time]
+    return min(later) if later else None
+
+
+#: Instants on a coarse grid (so schedules have near-collisions) or
+#: anywhere in [0, 1000], plus the occasional +inf.
+INSTANTS = st.one_of(
+    st.integers(min_value=0, max_value=400).map(lambda k: k * 0.25),
+    st.floats(min_value=0.0, max_value=1000.0),
+    st.just(math.inf),
+)
+
+
+class TestChallengeLookupMatchesLinearScan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(INSTANTS, max_size=40),
+        st.sampled_from([0.0, 1e-9, 0.5]),
+        st.data(),
+    )
+    def test_lookups_agree(self, raw, tolerance, data):
+        schedule = ChallengeSchedule.from_times(raw)
+        instants = frozenset(float(t) for t in raw)
+        assert schedule.times == tuple(sorted(instants))
+        anchor = data.draw(st.sampled_from(sorted(instants) or [0.0]))
+        queries = [
+            anchor,
+            anchor + tolerance,
+            anchor - tolerance,
+            math.nextafter(anchor + tolerance, math.inf),
+            math.nextafter(anchor - tolerance, -math.inf),
+            math.nan,
+            math.inf,
+            -math.inf,
+            data.draw(st.floats(allow_nan=True, allow_infinity=True)),
+            data.draw(st.floats(min_value=-1.0, max_value=1001.0)),
+        ]
+        for query in queries:
+            assert schedule.is_challenge(query, tolerance) == (
+                linear_is_challenge(instants, query, tolerance)
+            ), query
+            assert schedule.next_challenge_at_or_after(query) == (
+                linear_next_challenge(instants, query)
+            ), query
+
+    def test_exact_tolerance_boundary(self):
+        schedule = ChallengeSchedule.from_times([10.0, 20.0])
+        assert schedule.is_challenge(10.5, 0.5)
+        assert schedule.is_challenge(19.5, 0.5)
+        assert not schedule.is_challenge(math.nextafter(10.5, 11.0), 0.5)
+        assert not schedule.is_challenge(15.0, 0.0)
+        assert not schedule.is_challenge(math.nan, 0.5)
+        assert schedule.next_challenge_at_or_after(math.nan) is None
+        assert schedule.next_challenge_at_or_after(-math.inf) == 10.0
+        assert schedule.next_challenge_at_or_after(math.inf) is None

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import pytest
 
@@ -169,6 +170,63 @@ class TestSpecValidation:
                     "attack": {"kind": "emp", "start": 0.0},
                 }
             )
+
+
+class TestNonFiniteRejected:
+    """Every number a spec decodes must be finite (except an open attack end)."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("initial_distance", math.nan),
+        ("distance_noise_std", math.inf),
+        ("horizon", math.nan),
+        ("sample_period", math.nan),
+        ("horizon", -math.inf),
+        ("leader_initial_speed", math.inf),
+    ])
+    def test_top_level_field(self, field, value):
+        spec = scenario_to_dict(fig2_scenario("dos"))
+        spec[field] = value
+        with pytest.raises(ConfigurationError, match=f"'{field}' must be finite"):
+            scenario_from_dict(spec)
+
+    @pytest.mark.parametrize("path,value", [
+        ("attack.jammer.peak_power", math.nan),
+        ("attack.start", math.inf),
+        ("attack.end", math.nan),
+        ("attack.end", -math.inf),
+        ("defense.forgetting", math.nan),
+        ("acc_params.headway_time", math.inf),
+        ("leader_profile.acceleration", math.nan),
+    ])
+    def test_nested_field(self, path, value):
+        spec = scenario_to_dict(fig2_scenario("dos"))
+        *parents, leaf = path.split(".")
+        node = spec
+        for key in parents:
+            node = node[key]
+        assert leaf in node
+        node[leaf] = value
+        with pytest.raises(ConfigurationError, match=f"'{path}' must be finite"):
+            scenario_from_dict(spec)
+
+    def test_list_entry_is_named(self):
+        spec = scenario_to_dict(fig2_scenario("dos"))
+        spec["challenge_times"][2] = math.nan
+        with pytest.raises(ConfigurationError, match=r"'challenge_times\[2\]'"):
+            scenario_from_dict(spec)
+
+    def test_open_ended_attack_still_decodes(self):
+        spec = scenario_to_dict(fig2_scenario("dos"))
+        spec["attack"]["end"] = math.inf
+        assert scenario_from_dict(spec).attack.window.end == math.inf
+
+    def test_rejected_when_loaded_from_json(self, tmp_path):
+        path = tmp_path / "spec.json"
+        spec = scenario_to_dict(fig2_scenario("dos"))
+        spec["initial_distance"] = math.nan
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ConfigurationError, match="initial_distance"):
+            load_scenario(path)
 
 
 class TestSpecVersion:

@@ -367,6 +367,14 @@ class TestEndpointContract:
                     {**SPEC, "cache": "sometimes"},
                 )
                 assert status == 400 and "cache" in payload["error"]
+                status, payload = await fetch_json(
+                    "127.0.0.1",
+                    port,
+                    "POST",
+                    "/v1/runs",
+                    {**SPEC, "horizon": float("nan")},
+                )
+                assert status == 400 and "'horizon'" in payload["error"]
             finally:
                 await stop_app(app)
 
