@@ -7,9 +7,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.simulation.scenario import Scenario
 from repro.types import DetectionEvent, TimeSeries
 
-__all__ = ["SimulationResult", "ResultSummary", "TRACE_NAMES"]
+__all__ = ["SimulationResult", "ResultSummary", "FigureData", "TRACE_NAMES"]
 
 #: Every trace the engine records, in display order.
 TRACE_NAMES = (
@@ -151,3 +152,31 @@ class SimulationResult:
             estimated_samples=int(np.sum(estimated)) if estimated.size else 0,
             final_follower_speed=float(speeds[-1]) if speeds.size else float("nan"),
         )
+
+
+@dataclass(frozen=True)
+class FigureData:
+    """The three runs a figure panel overlays: the radar data without
+    attack, with attack (undefended), and the defended estimate.
+
+    The runs share the scenario's sensor seed, so measurement noise
+    aligns across the overlay.
+    """
+
+    scenario: Scenario
+    baseline: SimulationResult
+    attacked: SimulationResult
+    defended: SimulationResult
+
+    def detection_time(self) -> float:
+        """First detection instant of the defended run.
+
+        Raises if nothing was detected — a figure scenario always
+        contains an attack.
+        """
+        times = self.defended.detection_times
+        if not times:
+            raise RuntimeError(
+                f"defended run of {self.scenario.name!r} detected nothing"
+            )
+        return times[0]

@@ -30,7 +30,10 @@ spec from a future format fails loudly instead of being silently
 misread.  Every number in a spec must also be finite (the one
 exception is an attack ``end`` of ``+inf``, an attack that never
 stops); a NaN or infinity raises
-:class:`~repro.exceptions.ConfigurationError` naming the field.  The
+:class:`~repro.exceptions.ConfigurationError` naming the field.  A
+spec may ask for at most :data:`MAX_STEPS` steps
+(``horizon / sample_period``), so one decoded spec cannot request
+unbounded work.  The
 version also travels through
 :func:`repro.store.fingerprint.fingerprint_payload` (which serializes
 scenarios via :func:`scenario_to_dict`), salting every run-store
@@ -68,6 +71,7 @@ from repro.vehicle.params import ACCParameters
 __all__ = [
     "SPEC_VERSION",
     "READABLE_SPEC_VERSIONS",
+    "MAX_STEPS",
     "scenario_to_dict",
     "scenario_from_dict",
     "save_scenario",
@@ -93,6 +97,11 @@ SPEC_VERSION = 2
 
 #: Spec revisions :func:`scenario_from_dict` accepts.
 READABLE_SPEC_VERSIONS = (1, 2)
+
+#: Largest ``horizon / sample_period`` a decoded spec may ask for.  The
+#: paper's runs take 300 steps; the longest study in this repository
+#: takes 1000.
+MAX_STEPS = 100_000
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +278,9 @@ def scenario_from_dict(spec: Dict[str, Any]) -> Scenario:
 
     Raises :class:`~repro.exceptions.ConfigurationError` when the spec
     declares a ``spec_version`` this library does not read (missing
-    means version 1 — the format before versioning was introduced), or
-    when any number in it is NaN or infinite (see the module notes).
+    means version 1 — the format before versioning was introduced),
+    when any number in it is NaN or infinite, or when it asks for more
+    than :data:`MAX_STEPS` steps (see the module notes).
     """
     version = spec.get("spec_version", SPEC_VERSION)
     if version not in READABLE_SPEC_VERSIONS:
@@ -298,7 +308,14 @@ def scenario_from_dict(spec: Dict[str, Any]) -> Scenario:
         kwargs["radar_params"] = FMCWParameters(**spec["radar_params"])
     if "idm_params" in spec:
         kwargs["idm_params"] = IDMParameters(**spec["idm_params"])
-    return Scenario(**kwargs)
+    scenario = Scenario(**kwargs)
+    if scenario.horizon / scenario.sample_period > MAX_STEPS:
+        raise ConfigurationError(
+            f"spec field 'horizon' ({scenario.horizon!r} s) at "
+            f"'sample_period' {scenario.sample_period!r} s asks for more "
+            f"than MAX_STEPS = {MAX_STEPS} steps"
+        )
+    return scenario
 
 
 def save_scenario(scenario: Scenario, path: PathLike) -> Path:

@@ -1,4 +1,4 @@
-"""Unified experiment facade (repro.run) and its compatibility aliases."""
+"""The experiment entry point (repro.run)."""
 
 import pytest
 
@@ -7,14 +7,17 @@ from repro import fig2_scenario
 from repro.exceptions import ConfigurationError
 from repro.facade import run
 from repro.simulation import (
+    CarFollowingSimulation,
     FigureData,
     MonteCarloSummary,
     PlatoonResult,
     PlatoonScenario,
+    PlatoonSimulation,
     SimulationResult,
     scenario_to_dict,
     save_scenario,
 )
+from repro.simulation.io import result_to_dict
 from repro.vehicle import ConstantAccelerationProfile
 
 FAST = fig2_scenario("dos", horizon=20.0)
@@ -32,8 +35,8 @@ class TestRunModes:
     def test_default_mode_is_single(self):
         result = run(FAST)
         assert isinstance(result, SimulationResult)
-        reference = repro.simulation.runner.run_single(FAST)
-        assert result.min_gap() == reference.min_gap()
+        reference = CarFollowingSimulation(FAST).run()
+        assert result_to_dict(result) == result_to_dict(reference)
 
     def test_single_toggles(self):
         undefended = run(FAST, attack_enabled=False, defended=False)
@@ -45,8 +48,15 @@ class TestRunModes:
         data = run(scenario, mode="figure")
         assert isinstance(data, FigureData)
         assert data.detection_time() == 182.0
-        reference = repro.simulation.runner.run_figure_scenario(scenario)
-        assert data.defended.min_gap() == reference.defended.min_gap()
+        for run_, attacked, defended in (
+            (data.baseline, False, False),
+            (data.attacked, True, False),
+            (data.defended, True, True),
+        ):
+            reference = CarFollowingSimulation(
+                scenario, attack_enabled=attacked, defended=defended
+            ).run()
+            assert run_.traces == reference.traces
 
     def test_monte_carlo_mode_with_explicit_seeds(self):
         summary = run(
@@ -70,10 +80,23 @@ class TestRunModes:
         with pytest.raises(ConfigurationError, match="seeds"):
             run(FAST, mode="monte_carlo")
 
+    @pytest.mark.parametrize("mode", ["single", "figure", "sweep"])
+    def test_seeds_rejected_outside_monte_carlo(self, mode):
+        # A seed list outside mode="monte_carlo" used to be ignored
+        # silently, returning a single run.
+        with pytest.raises(ConfigurationError, match="seeds= argument"):
+            run(FAST, mode=mode, seeds=range(8))
+
+    def test_seeds_rejected_for_platoon(self):
+        with pytest.raises(ConfigurationError, match="seeds= argument"):
+            run(_platoon_scenario(), seeds=4)
+
     def test_platoon_mode_autoselected(self):
         result = run(_platoon_scenario())
         assert isinstance(result, PlatoonResult)
         assert result.n_followers == 2
+        reference = PlatoonSimulation(_platoon_scenario()).run()
+        assert result.traces == reference.traces
 
     def test_platoon_scenario_rejects_other_modes(self):
         with pytest.raises(ConfigurationError, match="does not fit"):
@@ -103,45 +126,11 @@ class TestSpecInputs:
             run(42)
 
 
-class TestDeprecatedAliases:
-    """The pre-``run()`` names still work but warn (see facade docstring)."""
-
-    def test_top_level_names_are_facade_aliases(self):
+class TestSingleEntryPoint:
+    def test_run_is_the_only_runner_exported(self):
         assert repro.run is run
-        assert repro.run_single is repro.facade.run_single
-        assert repro.run_figure_scenario is repro.facade.run_figure_scenario
-        assert repro.run_monte_carlo is repro.facade.run_monte_carlo
-        assert repro.run_platoon is repro.facade.run_platoon
-
-    def test_run_single_warns_and_matches_impl(self):
-        with pytest.warns(DeprecationWarning, match=r"run_single\(\) is deprecated"):
-            result = repro.run_single(FAST)
-        assert (
-            result.min_gap() == repro.simulation.runner.run_single(FAST).min_gap()
-        )
-
-    def test_run_figure_scenario_warns_and_matches_run(self):
-        with pytest.warns(
-            DeprecationWarning, match=r"run_figure_scenario\(\) is deprecated"
-        ):
-            data = repro.run_figure_scenario(FAST)
-        assert isinstance(data, FigureData)
-        assert data.defended.min_gap() == run(FAST, mode="figure").defended.min_gap()
-
-    def test_run_monte_carlo_warns_with_default_args(self):
-        with pytest.warns(
-            DeprecationWarning, match=r"run_monte_carlo\(\) is deprecated"
-        ):
-            summary = repro.run_monte_carlo(FAST, seeds=range(2))
-        assert isinstance(summary, MonteCarloSummary)
-        assert summary.n_runs == 2
-
-    def test_run_platoon_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"run_platoon\(\) is deprecated"):
-            result = repro.run_platoon(_platoon_scenario(), attack_enabled=False)
-        assert isinstance(result, PlatoonResult)
-
-    def test_warning_points_at_caller(self):
-        with pytest.warns(DeprecationWarning) as captured:
-            repro.run_single(FAST)
-        assert captured[0].filename == __file__
+        assert repro.facade.__all__ == ["run"]
+        # run_many is the batch layer and run_fingerprint the store key,
+        # not experiment runners.
+        runners = {name for name in dir(repro) if name.startswith("run_")}
+        assert runners == {"run_many", "run_fingerprint"}

@@ -229,6 +229,30 @@ class TestNonFiniteRejected:
             load_scenario(path)
 
 
+class TestStepBudget:
+    """A decoded spec asks for at most ``spec.MAX_STEPS`` steps."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("horizon", 1e12),
+        ("sample_period", 1e-9),
+    ])
+    def test_oversized_spec_rejected(self, field, value):
+        spec = scenario_to_dict(fig2_scenario("dos"))
+        spec[field] = value
+        with pytest.raises(ConfigurationError, match="'horizon'.*MAX_STEPS"):
+            scenario_from_dict(spec)
+
+    def test_budget_edge(self):
+        from repro.simulation.spec import MAX_STEPS
+
+        spec = scenario_to_dict(fig2_scenario("dos"))
+        spec["horizon"] = float(MAX_STEPS)
+        assert scenario_from_dict(spec).horizon == MAX_STEPS
+        spec["horizon"] = float(MAX_STEPS) + 1.0
+        with pytest.raises(ConfigurationError, match="MAX_STEPS"):
+            scenario_from_dict(spec)
+
+
 class TestSpecVersion:
     """The declarative format is versioned (spec.SPEC_VERSION)."""
 

@@ -375,6 +375,14 @@ class TestEndpointContract:
                     {**SPEC, "horizon": float("nan")},
                 )
                 assert status == 400 and "'horizon'" in payload["error"]
+                status, payload = await fetch_json(
+                    "127.0.0.1",
+                    port,
+                    "POST",
+                    "/v1/runs",
+                    {**SPEC, "horizon": 1e12},
+                )
+                assert status == 400 and "MAX_STEPS" in payload["error"]
             finally:
                 await stop_app(app)
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import fig2_scenario
+from repro import fig2_scenario, fig3_scenario
 from repro.attacks import (
     AttackWindow,
     DelayInjectionAttack,
@@ -146,6 +146,69 @@ class TestBitIdenticalEquivalence:
         scalar = repro.run(FAST, backend="scalar")
         vector = repro.run(FAST, backend="vectorized")
         assert result_to_dict(scalar) == result_to_dict(vector)
+
+
+class TestRollbackReplay:
+    """Full paper panels: the clean challenge at 175 s stores a snapshot
+    and the alarm at 182 s rolls every run back to it, so the lock-step
+    replay of the quarantined samples runs for every row.  (The random
+    groups above never roll back: their first challenge falls inside
+    the attack window, before any snapshot exists.)"""
+
+    @staticmethod
+    def _assert_group_matches(scenario):
+        group = [
+            RunSpec(
+                scenario.with_overrides(sensor_seed=seed),
+                defended=True,
+                tag=str(seed),
+            )
+            for seed in (3, 11, 29)
+        ]
+        scalar = execute_batch(group, backend="scalar")
+        vector = execute_batch(group, backend="vectorized")
+        assert all(r.backend_used == "vectorized" for r in vector.records)
+        assert _payload_dicts(scalar) == _payload_dicts(vector)
+        for record in vector.records:
+            verdicts = {
+                event.time: event.attack_detected
+                for event in record.payload.detection_events
+            }
+            assert verdicts[175.0] is False
+            assert verdicts[182.0] is True
+            assert record.payload.detection_times[0] == 182.0
+
+    @pytest.mark.parametrize("kind", ["dead_reckoning", "per_channel"])
+    @pytest.mark.parametrize(
+        "factory,attack",
+        [
+            (fig2_scenario, "dos"),
+            (fig2_scenario, "delay"),
+            (fig3_scenario, "dos"),
+            (fig3_scenario, "delay"),
+        ],
+        ids=["fig2a", "fig2b", "fig3a", "fig3b"],
+    )
+    def test_panel_rollback_matches_scalar(self, factory, attack, kind):
+        scenario = factory(attack)
+        self._assert_group_matches(
+            scenario.with_overrides(
+                defense=replace(scenario.defense, estimator_kind=kind)
+            )
+        )
+
+    @pytest.mark.parametrize("offset", [2.0, 4.0])
+    def test_replay_gate_edges_match_scalar(self, offset):
+        # Spoofed offsets near the replay gate: 2 m passes only through
+        # the gate's 3 m floor, 4 m only through its noise-scaled term
+        # (velocity noise widens the residual level).
+        scenario = fig2_scenario("delay").with_overrides(
+            velocity_noise_std=0.4,
+            attack=DelayInjectionAttack(
+                AttackWindow(180.0, 300.0), distance_offset=offset
+            ),
+        )
+        self._assert_group_matches(scenario)
 
 
 class TestSafetyFilterVectorizes:
