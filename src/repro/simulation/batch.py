@@ -674,15 +674,17 @@ class _StoreWritingPostprocess:
 
     def __call__(self, spec: RunSpec, result: Any) -> Any:
         if isinstance(result, SimulationResult):
-            from repro.simulation.spec import scenario_to_dict
-            from repro.store.fingerprint import run_fingerprint
+            from repro.store.fingerprint import (
+                fingerprint_payload,
+                payload_fingerprint,
+            )
 
-            fingerprint = run_fingerprint(spec)
-            if fingerprint is not None:
+            identity = fingerprint_payload(spec)
+            if identity is not None:
                 _worker_store(self.path, self.shards).put(
-                    fingerprint,
+                    payload_fingerprint(identity),
                     result,
-                    spec_dict=scenario_to_dict(spec.scenario),
+                    spec_dict=identity["scenario"],
                     attack_enabled=spec.attack_enabled,
                     defended=spec.defended,
                     sensor_seed=spec.scenario.sensor_seed,
@@ -716,18 +718,21 @@ def _execute_batch_cached(
     Either way a sweep's reducer sees the same values whether its
     input was computed or replayed.
     """
-    from repro.store.fingerprint import run_fingerprint
+    from repro.store.fingerprint import fingerprint_payload, payload_fingerprint
 
     start = time.perf_counter()
     items = list(enumerate(specs))
     records: dict = {}
-    misses: List[Tuple[int, RunSpec, Optional[str]]] = []
+    # A miss keeps its fingerprint payload: the spec dict inside it is
+    # what the store write records, so it is built once per run.
+    misses: List[Tuple[int, RunSpec, Optional[str], Optional[dict]]] = []
     for index, spec in items:
         lookup_start = time.perf_counter()
-        fingerprint = run_fingerprint(spec)
+        identity = fingerprint_payload(spec)
+        fingerprint = None if identity is None else payload_fingerprint(identity)
         hit = binding.store.get(fingerprint) if fingerprint is not None else None
         if hit is None:
-            misses.append((index, spec, fingerprint))
+            misses.append((index, spec, fingerprint, identity))
             continue
         if postprocess is None:
             payload, error = hit, None
@@ -766,7 +771,7 @@ def _execute_batch_cached(
         else:
             worker_postprocess = None if binding.writes else postprocess
         inner = _execute_batch_plain(
-            [spec for _, spec, _ in misses],
+            [spec for _, spec, _, _ in misses],
             workers=workers,
             chunksize=chunksize,
             postprocess=worker_postprocess,
@@ -774,7 +779,9 @@ def _execute_batch_cached(
         )
         inner_workers, parallel = inner.workers, inner.parallel
         degraded_reason = inner.degraded_reason
-        for (index, spec, fingerprint), record in zip(misses, inner.records):
+        for (index, spec, fingerprint, identity), record in zip(
+            misses, inner.records
+        ):
             payload, error = record.payload, record.error
             if worker_writes:
                 # The worker already stored the result and applied the
@@ -786,12 +793,10 @@ def _execute_batch_cached(
                 if fingerprint is not None and isinstance(
                     payload, SimulationResult
                 ):
-                    from repro.simulation.spec import scenario_to_dict
-
                     binding.store.put(
                         fingerprint,
                         payload,
-                        spec_dict=scenario_to_dict(spec.scenario),
+                        spec_dict=identity["scenario"],
                         attack_enabled=spec.attack_enabled,
                         defended=spec.defended,
                         sensor_seed=spec.scenario.sensor_seed,

@@ -258,11 +258,10 @@ class CarFollowingSimulation:
         )
         follower = VehicleState(position=0.0, velocity=scenario.follower_initial_speed)
 
-        result = SimulationResult.empty(
-            self.name,
-            attack_name=self.attack.label.value if self.attack else "none",
-            defended=self.defended,
-        )
+        # One row per step: (time, *values in TRACE_NAMES order),
+        # transposed into traces once after the loop.
+        rows = []
+        collision_time: Optional[float] = None
         # Per-stage timing is gated on an active telemetry session: when
         # `tele` is None the loop pays one local None-check per stage
         # and nothing else (bench_telemetry_overhead asserts the bound).
@@ -274,8 +273,8 @@ class CarFollowingSimulation:
                 n_steps += 1
                 t0 = perf_counter()
             true_gap = leader.position - follower.position
-            if true_gap <= 0.0 and result.collision_time is None:
-                result.collision_time = time
+            if true_gap <= 0.0 and collision_time is None:
+                collision_time = time
             radar_gap = max(true_gap, _POST_COLLISION_GAP_FLOOR)
             true_relative_velocity = leader.velocity - follower.velocity
 
@@ -319,26 +318,28 @@ class CarFollowingSimulation:
                 accel_filter = None
             step = acc.step(follower.velocity, view, accel_filter=accel_filter)
 
-            result.record(
-                time,
-                leader_position=leader.position,
-                leader_velocity=leader.velocity,
-                follower_position=follower.position,
-                follower_velocity=follower.velocity,
-                follower_acceleration=step.actual_acceleration,
-                true_distance=true_gap,
-                true_relative_velocity=true_relative_velocity,
-                measured_distance=measurement.distance,
-                measured_relative_velocity=measurement.relative_velocity,
-                safe_distance=view[0] if view is not None else 0.0,
-                safe_relative_velocity=view[1] if view is not None else 0.0,
-                desired_distance=step.upper.desired_distance,
-                desired_acceleration=step.desired_acceleration,
-                pedal_acceleration=step.actuation.pedal_acceleration,
-                brake_pressure=step.actuation.brake_pressure,
-                spacing_mode=1.0 if step.mode is ControlMode.SPACING else 0.0,
-                estimated_flag=1.0 if estimated else 0.0,
-                attack_active_flag=1.0 if attack_active else 0.0,
+            rows.append(
+                (
+                    time,
+                    leader.position,
+                    leader.velocity,
+                    follower.position,
+                    follower.velocity,
+                    step.actual_acceleration,
+                    true_gap,
+                    true_relative_velocity,
+                    measurement.distance,
+                    measurement.relative_velocity,
+                    view[0] if view is not None else 0.0,
+                    view[1] if view is not None else 0.0,
+                    step.upper.desired_distance,
+                    step.desired_acceleration,
+                    step.actuation.pedal_acceleration,
+                    step.actuation.brake_pressure,
+                    1.0 if step.mode is ControlMode.SPACING else 0.0,
+                    1.0 if estimated else 0.0,
+                    1.0 if attack_active else 0.0,
+                )
             )
 
             leader_acceleration = scenario.leader_profile.acceleration(time)
@@ -361,6 +362,13 @@ class CarFollowingSimulation:
             tele.incr("engine.runs")
             tele.incr("engine.steps", n_steps)
 
+        result = SimulationResult.from_rows(
+            self.name,
+            rows,
+            collision_time=collision_time,
+            attack_name=self.attack.label.value if self.attack else "none",
+            defended=self.defended,
+        )
         if self.pipeline is not None:
             result.detection_events = self.pipeline.detection_events
             estimator = self.pipeline.estimator

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +71,8 @@ class SimulationResult:
 
     ``traces`` maps each name in :data:`TRACE_NAMES` to a
     :class:`~repro.types.TimeSeries` sampled at every simulation step.
+    The scalar engine records columnar: it collects one row per step
+    and builds the traces once with :meth:`from_rows`.
     """
 
     name: str
@@ -88,6 +90,30 @@ class SimulationResult:
     def empty(cls, name: str, **kwargs) -> "SimulationResult":
         """Create a result with all standard traces pre-registered."""
         traces = {trace_name: TimeSeries(trace_name) for trace_name in TRACE_NAMES}
+        return cls(name=name, traces=traces, **kwargs)
+
+    @classmethod
+    def from_rows(
+        cls, name: str, rows: Sequence[Sequence[float]], **kwargs
+    ) -> "SimulationResult":
+        """Create a result from one ``(time, *values)`` row per step.
+
+        Each row holds the step's time followed by one value per trace
+        in :data:`TRACE_NAMES` order.  The rows are transposed once into
+        columns; every trace gets its own copy of the time list.
+        """
+        if rows:
+            times, *columns = np.array(rows, dtype=float).T.tolist()
+        else:
+            times, columns = [], [[] for _ in TRACE_NAMES]
+        if len(columns) != len(TRACE_NAMES):
+            raise ValueError(
+                f"rows carry {len(columns)} values, expected {len(TRACE_NAMES)}"
+            )
+        traces = {
+            trace_name: TimeSeries(trace_name, times=list(times), values=values)
+            for trace_name, values in zip(TRACE_NAMES, columns)
+        }
         return cls(name=name, traces=traces, **kwargs)
 
     def record(self, time: float, **values: float) -> None:

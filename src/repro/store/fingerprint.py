@@ -38,6 +38,7 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "canonical_json",
     "fingerprint_payload",
+    "payload_fingerprint",
     "run_fingerprint",
 ]
 
@@ -101,4 +102,13 @@ def run_fingerprint(spec: RunSpec) -> Optional[str]:
     payload = fingerprint_payload(spec)
     if payload is None:
         return None
+    return payload_fingerprint(payload)
+
+
+def payload_fingerprint(payload: Dict[str, Any]) -> str:
+    """SHA-256 hex digest of a :func:`fingerprint_payload` dict.
+
+    Lets a caller that also needs the spec dict (``payload["scenario"]``,
+    e.g. to store it next to the run) build it only once.
+    """
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()

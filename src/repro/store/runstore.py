@@ -3,9 +3,27 @@
 One row per content-addressed run (see
 :mod:`repro.store.fingerprint`): spec dict, headline summary, and the
 full trace payload as a zlib-compressed binary block (JSON metadata
-header + packed ``float64`` arrays).  The stdlib
-``sqlite3`` is the whole persistence stack — no external services, one
-file on disk, safe for concurrent access:
+header + packed ``float64`` arrays).  Each row names its payload codec:
+
+* ``zlib-f64-v2`` (written today): a little-endian ``uint32`` header
+  length, a JSON header ``{"meta", "n", "layout"}``, then one ``<f8``
+  block.  The block holds the shared time axis (``n`` samples) once,
+  then per ``layout`` entry ``{name, n, own_times}`` the trace's own
+  times (only when ``own_times``: its times differ from the axis as
+  float64 bytes) followed by its values.  Deflated at zlib level 1
+  (:data:`_ZLIB_LEVEL`); decoded with one ``frombuffer`` over the block.
+* ``zlib-f64-v1`` (read only): the same header without ``n``, and every
+  trace's times followed by its values.  Existing stores and merged
+  shards keep their v1 rows, so one store may mix both codecs.
+
+The zlib stream's adler32 is the payload checksum.  A row that fails to
+decode — a bad checksum, a truncated stream, a header that does not
+match its block — is never replayed: :meth:`RunStore.get` deletes it,
+counts ``store.corrupt_rows`` and reports a miss, so the run is
+recomputed and rewritten.
+
+The stdlib ``sqlite3`` is the whole persistence stack — no external
+services, one file on disk, safe for concurrent access:
 
 * the database runs in WAL mode with an explicit ``busy_timeout``
   (:data:`BUSY_TIMEOUT_MS`), so readers never block the (single)
@@ -110,14 +128,18 @@ def _is_lock_error(exc: sqlite3.OperationalError) -> bool:
     message = str(exc).lower()
     return "locked" in message or "busy" in message
 
-#: Identifier of the payload encoding; stored per row so the codec can
-#: evolve without invalidating old databases.  ``v1``: a little-endian
-#: ``uint32`` header length, a JSON header (run metadata + trace
-#: layout), then the packed ``float64`` trace arrays — all wrapped in
-#: zlib.  Binary doubles round-trip bit-exactly and decode an order of
-#: magnitude faster than JSON float parsing, which is what makes warm
-#: cache replays sub-millisecond per run.
-_PAYLOAD_CODEC = "zlib-f64-v1"
+#: Identifier of the payload encoding written by :meth:`RunStore.put`;
+#: stored per row, so rows written by an older codec stay readable (see
+#: the module docstring for both layouts).
+_PAYLOAD_CODEC = "zlib-f64-v2"
+
+#: The previous codec, still decoded for existing stores and merged
+#: shards.
+_PAYLOAD_CODEC_V1 = "zlib-f64-v1"
+
+#: zlib level of new payloads: level 1 deflates the float block about
+#: as well as level 6 at a fraction of the time.
+_ZLIB_LEVEL = 1
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -150,37 +172,70 @@ def default_store_path() -> Path:
 
 
 def _encode_payload(result: SimulationResult) -> bytes:
+    """Pack a result in the ``zlib-f64-v2`` layout."""
     meta = result_to_dict(result)
-    traces = meta.pop("traces")
+    del meta["traces"]
+    series = list(result.traces.items())
+    axis = next((ts.times for _, ts in series if ts.times), [])
+    axis_bytes = np.asarray(axis, dtype="<f8").tobytes()
     layout = []
-    arrays = []
-    for name, data in traces.items():
-        layout.append({"name": name, "n": len(data["times"])})
-        arrays.append(np.asarray(data["times"], dtype="<f8").tobytes())
-        arrays.append(np.asarray(data["values"], dtype="<f8").tobytes())
+    chunks = [axis_bytes]
+    for name, ts in series:
+        if len(ts.times) != len(ts.values):
+            raise ValueError(
+                f"trace {name!r} has {len(ts.times)} times but "
+                f"{len(ts.values)} values"
+            )
+        # Compared as float64 bytes, not with list equality, which
+        # takes a -0.0 time for 0.0.
+        times = np.asarray(ts.times, dtype="<f8").tobytes()
+        own_times = times != axis_bytes
+        layout.append({"name": name, "n": len(ts.times), "own_times": own_times})
+        if own_times:
+            chunks.append(times)
+        chunks.append(np.asarray(ts.values, dtype="<f8").tobytes())
     header = json.dumps(
-        {"meta": meta, "layout": layout}, separators=(",", ":")
+        {"meta": meta, "n": len(axis), "layout": layout}, separators=(",", ":")
     ).encode("utf-8")
-    blob = b"".join([struct.pack("<I", len(header)), header, *arrays])
-    return zlib.compress(blob, 6)
+    blob = b"".join([struct.pack("<I", len(header)), header, *chunks])
+    return zlib.compress(blob, _ZLIB_LEVEL)
 
 
 def _decode_payload(blob: bytes, codec: str) -> SimulationResult:
-    if codec != _PAYLOAD_CODEC:
+    """Unpack a payload written by either codec.
+
+    Raises (``zlib.error``, ``ValueError``, ``KeyError``, ...) on any
+    payload that does not decode; :meth:`RunStore.get` turns that into
+    a miss.
+    """
+    if codec not in (_PAYLOAD_CODEC, _PAYLOAD_CODEC_V1):
         raise ValueError(f"unknown run-store payload codec {codec!r}")
     raw = zlib.decompress(blob)
     (header_len,) = struct.unpack_from("<I", raw, 0)
     header = json.loads(raw[4 : 4 + header_len].decode("utf-8"))
-    meta = header["meta"]
-    offset = 4 + header_len
+    block = np.frombuffer(raw, dtype="<f8", offset=4 + header_len)
+    # v1 is v2 without a shared axis: every trace stores its own times.
+    v1 = codec == _PAYLOAD_CODEC_V1
+    n_axis = 0 if v1 else header["n"]
+    axis = block[:n_axis].tolist()
     traces = {}
+    offset = n_axis
     for entry in header["layout"]:
         name, n = entry["name"], entry["n"]
-        times = np.frombuffer(raw, dtype="<f8", count=n, offset=offset)
-        offset += 8 * n
-        values = np.frombuffer(raw, dtype="<f8", count=n, offset=offset)
-        offset += 8 * n
-        traces[name] = TimeSeries(name, times=times.tolist(), values=values.tolist())
+        if v1 or entry["own_times"]:
+            times = block[offset : offset + n].tolist()
+            offset += n
+        elif n == n_axis:
+            times = list(axis)
+        else:
+            raise ValueError(f"trace {name!r} shares an axis of another length")
+        traces[name] = TimeSeries(
+            name, times=times, values=block[offset : offset + n].tolist()
+        )
+        offset += n
+    if offset != block.size:
+        raise ValueError(f"payload holds {block.size} floats, layout {offset}")
+    meta = header["meta"]
     return SimulationResult(
         name=meta["name"],
         traces=traces,
@@ -436,7 +491,10 @@ class RunStore:
         """Fetch the run stored under ``fingerprint`` (``None`` on miss).
 
         A store file that does not exist yet is an unconditional miss
-        and is *not* created by reads.
+        and is *not* created by reads.  A row whose payload does not
+        decode (the zlib stream's adler32 is its checksum) is a miss
+        too: the row is deleted and counted as ``store.corrupt_rows``,
+        so the caller recomputes the run and writes a good row.
         """
         tele = _telemetry.current()
         if not self._path.exists():
@@ -447,14 +505,32 @@ class RunStore:
             "SELECT payload, payload_codec FROM runs WHERE fingerprint = ?",
             (fingerprint,),
         ).fetchone()
-        if row is None:
+        result = None
+        if row is not None:
+            try:
+                result = _decode_payload(row[0], row[1])
+            except Exception:  # the payload is untrusted bytes
+                self._drop_corrupt_row(fingerprint)
+        if result is None:
             if tele is not None:
                 tele.incr("store.misses")
             return None
         if tele is not None:
             tele.incr("store.hits")
             tele.incr("store.hit_bytes", len(row[0]))
-        return _decode_payload(row[0], row[1])
+        return result
+
+    def _drop_corrupt_row(self, fingerprint: str) -> None:
+        """Delete a row that failed to decode.
+
+        A store that cannot be written (locked, read-only file) keeps
+        the row; every later read of it is still a miss.
+        """
+        _telemetry.incr("store.corrupt_rows")
+        try:
+            self.evict([fingerprint])
+        except sqlite3.Error:
+            pass
 
     def __contains__(self, fingerprint: str) -> bool:
         if not self._path.exists():

@@ -208,8 +208,12 @@ def _digest(result):
 
 
 #: sha256 of ``json.dumps(result_to_dict(run), sort_keys=True)`` for a
-#: scalar run at the panel's default seed, recorded with the deep-copy
-#: snapshots these records replaced.
+#: scalar run at the panel's default seed, keyed by panel and defense
+#: strategy (or a :data:`UNDEFENDED_RUNS` variant).  The strategy
+#: digests were recorded with the deep-copy snapshots these records
+#: replaced; the fig2a undefended and ``safety_filter`` digests with the
+#: per-step ``SimulationResult.record`` calls that columnar recording
+#: replaced.
 GOLDEN_DIGESTS = {
     ("fig2a", "rls"):
         "c4b4b636a5cff5dd8c61d385adf030490b65a6d883b68a330d066918bb546f98",
@@ -223,6 +227,22 @@ GOLDEN_DIGESTS = {
         "6126935d54ed02a6db27188dd1d7e18f2fdf3950db6db3cf9e810d6a715f2e32",
     ("fig3b", "combined"):
         "6126935d54ed02a6db27188dd1d7e18f2fdf3950db6db3cf9e810d6a715f2e32",
+    # Equal to rls: the filter is consulted every step but never clips
+    # on fig2a.
+    ("fig2a", "safety_filter"):
+        "c4b4b636a5cff5dd8c61d385adf030490b65a6d883b68a330d066918bb546f98",
+    ("fig2a", "attack_free_undefended"):
+        "9c5cb44e000c0e921da64914609b70b7042f81b44d9beea2cf57a0113d37b028",
+    # Collides at 188 s; the rest of the run senses the post-collision
+    # gap floor.
+    ("fig2a", "attacked_undefended"):
+        "9bdb7ef67adecef2058670035e4ebbf42f9d326e24191cda582826c605854d69",
+}
+
+#: Golden variants that are run toggles rather than a defense strategy.
+UNDEFENDED_RUNS = {
+    "attack_free_undefended": {"attack_enabled": False, "defended": False},
+    "attacked_undefended": {"defended": False},
 }
 
 PANELS = {
@@ -231,7 +251,8 @@ PANELS = {
 }
 
 
-@pytest.mark.parametrize("panel,strategy", sorted(GOLDEN_DIGESTS))
-def test_golden_run_digest(panel, strategy):
-    result = repro.run(PANELS[panel](), defense=strategy, backend="scalar")
-    assert _digest(result) == GOLDEN_DIGESTS[(panel, strategy)]
+@pytest.mark.parametrize("panel,variant", sorted(GOLDEN_DIGESTS))
+def test_golden_run_digest(panel, variant):
+    toggles = UNDEFENDED_RUNS.get(variant, {"defense": variant})
+    result = repro.run(PANELS[panel](), backend="scalar", **toggles)
+    assert _digest(result) == GOLDEN_DIGESTS[(panel, variant)]

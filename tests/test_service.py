@@ -407,6 +407,25 @@ class TestEndpointContract:
 
         run_async(scenario())
 
+    def test_corrupt_stored_run_is_404(self, tmp_path):
+        async def scenario():
+            app = await start_app(tmp_path)
+            try:
+                fingerprint = "a" * 64
+                app.store.put(fingerprint, repro.run(FAST))
+                conn = app.store._connect()
+                with conn:
+                    conn.execute("UPDATE runs SET payload = ?", (b"not zlib",))
+                status, payload = await fetch_json(
+                    "127.0.0.1", app.port, "GET", f"/v1/runs/{fingerprint}"
+                )
+                assert status == 404 and "error" in payload
+                assert fingerprint not in app.store
+            finally:
+                await stop_app(app)
+
+        run_async(scenario())
+
     def test_wrong_method_is_405(self, tmp_path):
         async def scenario():
             app = await start_app(tmp_path)

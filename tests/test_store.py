@@ -2,6 +2,8 @@
 
 import io
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import repro
 from repro import fig2_scenario
 from repro.cli import main
+from repro import telemetry
 from repro.exceptions import ConfigurationError
 from repro.simulation import (
     PlatoonScenario,
@@ -27,6 +30,10 @@ from repro.store import (
     resolve_cache,
     run_fingerprint,
 )
+from repro.simulation.io import result_to_dict
+from repro.simulation.results import SimulationResult
+from repro.store.runstore import _decode_payload, _encode_payload
+from repro.types import DetectionEvent, TimeSeries
 from repro.vehicle import ConstantAccelerationProfile
 
 #: Short horizon keeps the attack window empty — fast, clean runs.
@@ -217,6 +224,193 @@ class TestRunStore:
         monkeypatch.delenv("REPRO_CACHE_DIR")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         assert default_store_path() == tmp_path / "xdg" / "repro" / "runstore.sqlite"
+
+
+def _bits(result):
+    """Everything a result holds, with every float as its float64 bytes
+    (so ``-0.0`` vs ``0.0`` and NaN payloads count as differences)."""
+    meta = result_to_dict(result)
+    del meta["traces"]
+    traces = {
+        name: (
+            np.asarray(series.times, dtype="<f8").tobytes(),
+            np.asarray(series.values, dtype="<f8").tobytes(),
+            [type(t) for t in series.times] + [type(v) for v in series.values],
+        )
+        for name, series in result.traces.items()
+    }
+    return json.dumps(meta, sort_keys=True), list(result.traces), traces
+
+
+def _encode_v1(result):
+    """The ``zlib-f64-v1`` encoder, frozen as it was last written: stores
+    and merged shards still hold rows in this layout."""
+    meta = result_to_dict(result)
+    traces = meta.pop("traces")
+    layout = []
+    arrays = []
+    for name, data in traces.items():
+        layout.append({"name": name, "n": len(data["times"])})
+        arrays.append(np.asarray(data["times"], dtype="<f8").tobytes())
+        arrays.append(np.asarray(data["values"], dtype="<f8").tobytes())
+    header = json.dumps(
+        {"meta": meta, "layout": layout}, separators=(",", ":")
+    ).encode("utf-8")
+    blob = b"".join([struct.pack("<I", len(header)), header, *arrays])
+    return zlib.compress(blob, 6)
+
+
+def _v2_header(blob):
+    raw = zlib.decompress(blob)
+    (header_len,) = struct.unpack_from("<I", raw, 0)
+    return json.loads(raw[4 : 4 + header_len].decode("utf-8"))
+
+
+def _hand_built():
+    """Traces that stress the shared time axis: one on its own axis, one
+    whose times differ from the axis only in the sign of a zero, one
+    empty, and values holding -0.0 and NaN."""
+    axis = [0.0, 1.0, 2.0]
+    return SimulationResult(
+        name="hand",
+        traces={
+            "shared": TimeSeries("shared", list(axis), [-0.0, float("nan"), 1.5]),
+            "own": TimeSeries("own", [0.0, 0.5], [1.0, -2.0]),
+            "signed_zero": TimeSeries("signed_zero", [-0.0, 1.0, 2.0], [0.0] * 3),
+            "empty": TimeSeries("empty"),
+            "shared_too": TimeSeries("shared_too", list(axis), [3.0, 4.0, 5.0]),
+        },
+        detection_events=[DetectionEvent(1.0, True, 0.25)],
+        collision_time=2.0,
+        attack_name="dos",
+        defended=True,
+        defense_stats={"subsets": 3},
+    )
+
+
+class TestPayloadCodec:
+    def test_v2_round_trip_engine_result(self):
+        result = repro.run(fig2_scenario("dos"), defense="rls")
+        decoded = _decode_payload(_encode_payload(result), "zlib-f64-v2")
+        assert _bits(decoded) == _bits(result)
+
+    def test_v2_round_trip_hand_built(self):
+        result = _hand_built()
+        blob = _encode_payload(result)
+        assert _bits(_decode_payload(blob, "zlib-f64-v2")) == _bits(result)
+        header = _v2_header(blob)
+        assert header["n"] == 3
+        own = {entry["name"]: entry["own_times"] for entry in header["layout"]}
+        assert own == {
+            "shared": False,
+            "own": True,
+            "signed_zero": True,
+            "empty": True,
+            "shared_too": False,
+        }
+
+    def test_v2_decoded_traces_own_their_lists(self):
+        decoded = _decode_payload(_encode_payload(_hand_built()), "zlib-f64-v2")
+        assert decoded.traces["shared"].times is not decoded.traces[
+            "shared_too"
+        ].times
+
+    @pytest.mark.parametrize("make", [_hand_built, lambda: repro.run(FAST)])
+    def test_v1_blob_still_decodes(self, make):
+        result = make()
+        decoded = _decode_payload(_encode_v1(result), "zlib-f64-v1")
+        assert _bits(decoded) == _bits(result)
+
+    def test_store_mixes_codecs(self, tmp_path):
+        result = repro.run(FAST)
+        with RunStore(tmp_path / "s.sqlite") as store:
+            store.put("a" * 64, result)
+            (row,) = list(store.iter_rows())
+            blob = _encode_v1(result)
+            store.put_row(
+                {
+                    **row,
+                    "fingerprint": "b" * 64,
+                    "payload": blob,
+                    "payload_codec": "zlib-f64-v1",
+                    "payload_bytes": len(blob),
+                }
+            )
+            codecs = [r["payload_codec"] for r in store.iter_rows()]
+            assert codecs == ["zlib-f64-v2", "zlib-f64-v1"]
+            assert _bits(store.get("a" * 64)) == _bits(result)
+            assert _bits(store.get("b" * 64)) == _bits(result)
+
+    def test_v2_smaller_than_v1_for_defended_fig2a(self):
+        result = repro.run(fig2_scenario("dos"), defense="rls")
+        assert len(_encode_payload(result)) < len(_encode_v1(result))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header: header["layout"].pop(),
+            lambda header: header["layout"][0].update(n=2),
+        ],
+        ids=["layout_short_of_block", "shared_axis_length"],
+    )
+    def test_header_block_mismatch_rejected(self, edit):
+        raw = zlib.decompress(_encode_payload(_hand_built()))
+        (header_len,) = struct.unpack_from("<I", raw, 0)
+        header = json.loads(raw[4 : 4 + header_len].decode("utf-8"))
+        edit(header)
+        text = json.dumps(header).encode("utf-8")
+        blob = struct.pack("<I", len(text)) + text + raw[4 + header_len :]
+        with pytest.raises(ValueError, match="axis|layout"):
+            _decode_payload(zlib.compress(blob), "zlib-f64-v2")
+
+    def test_unknown_codec_rejected(self):
+        with pytest.raises(ValueError, match="codec"):
+            _decode_payload(_encode_payload(_hand_built()), "zlib-f64-v9")
+
+    def test_mismatched_trace_lengths_rejected(self):
+        result = _hand_built()
+        result.traces["own"].values.append(1.0)
+        with pytest.raises(ValueError, match="own"):
+            _encode_payload(result)
+
+
+def _truncate(payload):
+    return payload[: len(payload) // 2]
+
+
+def _flip_byte(payload):
+    middle = len(payload) // 2
+    return payload[:middle] + bytes([payload[middle] ^ 0xFF]) + payload[middle + 1 :]
+
+
+class TestCorruptRows:
+    @pytest.mark.parametrize("damage", [_truncate, _flip_byte])
+    def test_corrupt_row_is_recomputed_and_rewritten(self, tmp_path, damage):
+        off = repro.run(FAST, cache="off")
+        with RunStore(tmp_path / "s.sqlite") as store:
+            repro.run(FAST, cache=store)
+            (fingerprint,) = store.fingerprints()
+            conn = store._connect()
+            (payload,) = conn.execute("SELECT payload FROM runs").fetchone()
+            with conn:
+                conn.execute("UPDATE runs SET payload = ?", (damage(payload),))
+
+            with telemetry.session() as tele:
+                warm = repro.run(FAST, cache=store)
+            assert tele.counters["store.corrupt_rows"] == 1
+            assert tele.counters["store.writes"] == 1
+            assert _bits(warm) == _bits(off)
+            assert store.fingerprints() == [fingerprint]
+            assert _bits(store.get(fingerprint)) == _bits(off)
+
+    def test_get_drops_the_corrupt_row(self, tmp_path):
+        with RunStore(tmp_path / "s.sqlite") as store:
+            store.put("a" * 64, repro.run(FAST))
+            conn = store._connect()
+            with conn:
+                conn.execute("UPDATE runs SET payload = ?", (b"not zlib",))
+            assert store.get("a" * 64) is None
+            assert "a" * 64 not in store
 
 
 class TestCacheBinding:
