@@ -7,25 +7,31 @@ window solver that caches those kernels across the sliding window
 (:mod:`repro.defense.reconstruction`).  This bench pins the claim:
 
 * on the fig2a closed-loop configuration (1 s sampling, window 8,
-  s = 1) the ``incremental`` estimator runs each trusted-sample step
-  >= 5x faster than the ``from_scratch`` baseline that rebuilds
-  :class:`SecureStateReconstruct` every window;
-* the two modes are **bit-identical** — every candidate of every
+  s = 1) the estimator runs each trusted-sample step >= 5x faster than
+  the from-scratch baseline (:class:`FromScratchEstimator`, frozen
+  here) that rebuilds :class:`SecureStateReconstruct` every window;
+* the two are **bit-identical** — every candidate of every
   window (x0, x_end, residual, covariance, subset bookkeeping)
   compares equal with ``==``/``array_equal``, no tolerance — including
   across the non-uniform windows left by challenge-instant holes;
 * subset-search scaling at p = 2/4/6 sensors, including the historical
   pre-batching ``solve_naive`` loop as a third column.
 
-The table is written to ``BENCH_defense_runtime.json`` at the repo
-root (committed, like ``BENCH_defense.json``).  Set
-``REPRO_BENCH_SMOKE`` to shrink the workloads and skip the timing
-floor (CI runs the smoke mode; the equivalence assertions always run).
+A full run appends one record to the ``history`` list of
+``BENCH_defense_runtime.json`` at the repo root (git sha, CPU count,
+python and numpy versions, µs per step, speedup, floor, ``pass`` or
+``fail``) and replaces its ``latest`` block with the full tables; the
+record is written before the floor is asserted, so a failing run is
+recorded as ``fail``.  Set ``REPRO_BENCH_SMOKE`` to shrink the
+workloads and skip the timing floor; a smoke run writes nothing (CI
+runs the smoke mode; the equivalence assertions always run).
 """
 
 import gc
 import json
 import os
+import platform
+import subprocess
 import time
 from math import comb
 from pathlib import Path
@@ -93,24 +99,39 @@ def _fig2a_stream(n_steps, sample_period, *, hole_every=None):
     return samples
 
 
-def _make_estimator(scenario, mode):
+class FromScratchEstimator(SecureReconstructionEstimator):
+    """The baseline: every window rebuilds :class:`SecureStateReconstruct`
+    from an :class:`SSProblem` — no geometry cache, no memo."""
+
+    def _solve_window(self, ys, us, dts, sparsities):
+        return {
+            s: SecureStateReconstruct(
+                SSProblem(self.A, self.B, self.C, ys, us=us, s=s, dts=dts),
+                residual_threshold=self.residual_threshold,
+                rank_tolerance=self.rank_tolerance,
+                transition=self._transition_cache,
+            ).solve()
+            for s in sparsities
+        }
+
+
+def _make_estimator(scenario, cls=SecureReconstructionEstimator):
     """Mirror the engine's estimator construction for the scenario."""
     defense = scenario.defense
-    return SecureReconstructionEstimator(
+    return cls(
         sample_period=scenario.sample_period,
         window=defense.secure_window,
         sparsity=defense.secure_sparsity,
         residual_threshold=defense.secure_residual_threshold,
         margin_gain=defense.margin_gain,
-        solver_mode=mode,
     )
 
 
-def _time_observe(scenario, mode, samples, repeats):
+def _time_observe(scenario, cls, samples, repeats):
     """Best-of-N mean per-step observe() time, seconds."""
     best = float("inf")
     for _ in range(repeats):
-        estimator = _make_estimator(scenario, mode)
+        estimator = _make_estimator(scenario, cls)
         # Collections triggered by earlier phases' garbage would land
         # mid-loop and smear the per-step numbers.
         gc.collect()
@@ -152,16 +173,17 @@ def _results_equal(a, b):
     return True
 
 
-def _assert_modes_identical(scenario, samples):
-    """Lock-step both solver modes; every window must match bitwise."""
-    incremental = _make_estimator(scenario, "incremental")
-    from_scratch = _make_estimator(scenario, "from_scratch")
+def _assert_matches_baseline(scenario, samples):
+    """Lock-step the estimator and the baseline; every window must
+    match bitwise."""
+    incremental = _make_estimator(scenario)
+    from_scratch = _make_estimator(scenario, FromScratchEstimator)
     for measurement, speed in samples:
         incremental.observe(measurement, speed)
         from_scratch.observe(measurement, speed)
         assert _results_equal(
             incremental.last_result, from_scratch.last_result
-        ), f"solver modes diverged at t={measurement.time}"
+        ), f"estimator and baseline diverged at t={measurement.time}"
         a, b = incremental._state, from_scratch._state
         assert (a is None) == (b is None)
         if a is not None:
@@ -218,24 +240,69 @@ def _scaling_row(p, s, steps):
     }
 
 
+def _git(*args):
+    """Output of one git command in the repo, or None without git."""
+    try:
+        out = subprocess.run(
+            ["git", *args],
+            cwd=RESULTS_PATH.parent,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _history_record(t_scratch, t_inc, speedup):
+    """One trajectory entry: where and how fast this run was."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "git_sha": _git("rev-parse", "--short=12", "HEAD"),
+        # True when tracked files differed from that commit.
+        "dirty": None if status is None else bool(status),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "from_scratch_us_per_step": round(t_scratch * 1e6, 1),
+        "incremental_us_per_step": round(t_inc * 1e6, 1),
+        "speedup": round(speedup, 2),
+        "speedup_floor": SPEEDUP_FLOOR,
+        "status": "pass" if speedup >= SPEEDUP_FLOOR else "fail",
+    }
+
+
+def _append_record(latest, record):
+    """Replace the ``latest`` tables and append ``record`` to ``history``."""
+    history = (
+        json.loads(RESULTS_PATH.read_text())["history"]
+        if RESULTS_PATH.exists()
+        else []
+    )
+    document = {"latest": latest, "history": history + [record]}
+    RESULTS_PATH.write_text(json.dumps(document, indent=2) + "\n")
+
+
 def bench_defense_runtime(benchmark):
     scenario = fig2_scenario("dos")
 
     def build():
-        # Correctness first: bit-identical modes across the non-uniform
-        # windows a challenge schedule leaves (holes every 7th step).
+        # Correctness first: bit-identical to the baseline across the
+        # non-uniform windows a challenge schedule leaves (holes every
+        # 7th step).
         holed = _fig2a_stream(
             N_STEPS // 2, scenario.sample_period, hole_every=7
         )
-        _assert_modes_identical(scenario, holed)
+        _assert_matches_baseline(scenario, holed)
 
         # Steady-state per-step cost on the uniform closed-loop stream.
         uniform = _fig2a_stream(N_STEPS, scenario.sample_period)
         t_scratch, _ = _time_observe(
-            scenario, "from_scratch", uniform, REPEATS
+            scenario, FromScratchEstimator, uniform, REPEATS
         )
         t_inc, estimator = _time_observe(
-            scenario, "incremental", uniform, REPEATS
+            scenario, SecureReconstructionEstimator, uniform, REPEATS
         )
         stats = estimator.search_stats()
         rows = [
@@ -256,17 +323,7 @@ def bench_defense_runtime(benchmark):
     ), stats
 
     speedup = t_scratch / t_inc if t_inc > 0 else float("inf")
-    if not SMOKE:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"expected >= {SPEEDUP_FLOOR}x per-step speedup from the "
-            f"incremental solver on the fig2a closed loop, measured "
-            f"{speedup:.2f}x ({t_scratch * 1e6:.1f} -> {t_inc * 1e6:.1f} us)"
-        )
-        for row in scaling:
-            assert row["speedup"] > 1.0, row
-
-    record = {
-        "smoke": SMOKE,
+    latest = {
         "closed_loop": {
             "scenario": "fig2a",
             "steps": N_STEPS,
@@ -281,8 +338,15 @@ def bench_defense_runtime(benchmark):
         },
         "subset_scaling": scaling,
     }
-    if not SMOKE:  # the committed JSON records the full workload
-        RESULTS_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    if not SMOKE:  # the committed JSON records full runs only
+        _append_record(latest, _history_record(t_scratch, t_inc, speedup))
+        assert speedup >= SPEEDUP_FLOOR, (
+            f"expected >= {SPEEDUP_FLOOR}x per-step speedup from the "
+            f"incremental solver on the fig2a closed loop, measured "
+            f"{speedup:.2f}x ({t_scratch * 1e6:.1f} -> {t_inc * 1e6:.1f} us)"
+        )
+        for row in scaling:
+            assert row["speedup"] > 1.0, row
 
     emit(
         "defense_runtime",

@@ -320,11 +320,11 @@ REGISTRY: Tuple[Experiment, ...] = (
         title="Incremental secure-reconstruction solver: per-step runtime",
         paper_claim="",
         workload="400 trusted steps of a fig2a-shaped closed loop through "
-        "the estimator in incremental vs from_scratch solver modes; "
-        "asserts bit-identical candidates (incl. challenge-hole windows) "
-        "and >=5x per-step speedup from the cached geometry kernels, plus "
-        "a subset-search scaling table at p = 2/4/6 sensors; writes "
-        "BENCH_defense_runtime.json",
+        "the estimator vs a bench-local from-scratch baseline; asserts "
+        "bit-identical candidates (incl. challenge-hole windows) and >=5x "
+        "per-step speedup from the cached geometry kernels, plus a "
+        "subset-search scaling table at p = 2/4/6 sensors; appends a "
+        "record to BENCH_defense_runtime.json's history",
         bench="bench_defense_runtime.py",
         modules=("defense.reconstruction", "defense.estimator", "telemetry"),
         kind="extension",

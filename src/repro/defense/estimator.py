@@ -56,8 +56,6 @@ from repro.core.predictor import MeasurementEstimator
 from repro.defense.reconstruction import (
     IncrementalWindowSolver,
     ReconstructionResult,
-    SecureStateReconstruct,
-    SSProblem,
     TransitionCache,
 )
 from repro.exceptions import ConfigurationError, EstimatorNotTrainedError
@@ -65,13 +63,6 @@ from repro.telemetry import core as _telemetry
 from repro.types import RadarMeasurement
 
 __all__ = ["follower_relative_system", "SecureReconstructionEstimator"]
-
-#: Solver modes: ``incremental`` reuses cached window geometry across
-#: steps (the default — bit-identical results, ~an order of magnitude
-#: faster; see ``bench_defense_runtime``); ``from_scratch`` rebuilds the
-#: solver every window (the pre-PR-10 behaviour, kept as the benchmark
-#: baseline and as a cross-check in tests).
-SOLVER_MODES = ("incremental", "from_scratch")
 
 
 def follower_relative_system(
@@ -133,11 +124,6 @@ class SecureReconstructionEstimator(MeasurementEstimator):
         Lower bound on the measurement-noise scale used for the
         covariance (guards against near-zero residuals on very short
         windows).
-    solver_mode:
-        ``"incremental"`` (default) reuses cached window geometry via
-        :class:`IncrementalWindowSolver`; ``"from_scratch"`` rebuilds
-        :class:`SecureStateReconstruct` every window.  Both produce
-        bit-identical estimates — the mode only trades runtime.
     transition_cache_size:
         LRU bound on the memoized per-``dt`` discretizations (distinct
         quantized interval durations; jittered sampling cannot grow the
@@ -153,16 +139,10 @@ class SecureReconstructionEstimator(MeasurementEstimator):
         rank_tolerance: float = 1e-10,
         margin_gain: float = 2.0,
         noise_floor: float = 0.1,
-        solver_mode: str = "incremental",
         transition_cache_size: int = 64,
     ):
         if window < 2:
             raise ConfigurationError(f"window must be >= 2, got {window}")
-        if solver_mode not in SOLVER_MODES:
-            raise ConfigurationError(
-                f"solver_mode must be one of {SOLVER_MODES!r}, "
-                f"got {solver_mode!r}"
-            )
         if not 0 <= sparsity < 2:
             raise ConfigurationError(
                 f"sparsity must leave an honest radar channel, got {sparsity}"
@@ -182,7 +162,6 @@ class SecureReconstructionEstimator(MeasurementEstimator):
         self.rank_tolerance = float(rank_tolerance)
         self.margin_gain = float(margin_gain)
         self.noise_floor = float(noise_floor)
-        self.solver_mode = solver_mode
         self.A, self.B, self.C = follower_relative_system(self.sample_period)
         self._transition_cache = TransitionCache(
             _transition_builder, maxsize=transition_cache_size
@@ -252,23 +231,9 @@ class SecureReconstructionEstimator(MeasurementEstimator):
         end_time = float(times[-1])
         sparsities = (0,) if self.sparsity == 0 else (0, self.sparsity)
 
-        if self.solver_mode == "incremental":
-            hits_before = self._solver.geometry_hits
-            results = self._solver.solve_many(ys, us, dts, sparsities)
-            cache_hit = self._solver.geometry_hits > hits_before
-        else:
-            cache_hit = False
-            results = {
-                s: SecureStateReconstruct(
-                    SSProblem(
-                        self.A, self.B, self.C, ys, us=us, s=s, dts=dts
-                    ),
-                    residual_threshold=self.residual_threshold,
-                    rank_tolerance=self.rank_tolerance,
-                    transition=self._transition_cache,
-                ).solve()
-                for s in sparsities
-            }
+        hits_before = self._solver.geometry_hits
+        results = self._solve_window(ys, us, dts, sparsities)
+        cache_hit = self._solver.geometry_hits > hits_before
 
         # Full-set consistency check (s = 0): both channels must agree
         # with the dynamics.  Its single candidate doubles as a
@@ -300,16 +265,22 @@ class SecureReconstructionEstimator(MeasurementEstimator):
                 "defense.geometry_hits" if cache_hit else "defense.geometry_misses"
             )
 
-        if full.best is not None:
-            self._adopt(end_time, full.best)
+        best = full.best_state()
+        if best is not None:
+            self._adopt(end_time, *best)
             return
         self.inconsistent_windows += 1
-        if sparse.best is not None:
-            self._adopt(end_time, sparse.best)
+        best = sparse.best_state()
+        if best is not None:
+            self._adopt(end_time, *best)
             return
         self.fallback_windows += 1
         # No subset explains the window — keep the model-rolled state
         # (set by the roll in observe()); nothing else is trustworthy.
+
+    def _solve_window(self, ys, us, dts, sparsities):
+        """Solve one window under each sparsity (cached geometry)."""
+        return self._solver.solve_many(ys, us, dts, sparsities)
 
     def search_stats(self) -> Dict[str, int]:
         """Subset-search and cache counters for run-level reporting.
@@ -377,12 +348,18 @@ class SecureReconstructionEstimator(MeasurementEstimator):
         self._solver.set_state(solver)
         self._transition_cache.set_state(transitions)
 
-    def _adopt(self, end_time: float, candidate) -> None:
-        """Take a candidate's end-of-window state and its covariance."""
-        self._state = (end_time, candidate.x_end.copy())
-        if candidate.x_end_covariance is not None:
-            sigma = max(candidate.residual, self.noise_floor)
-            self._cov = candidate.x_end_covariance * sigma * sigma
+    def _adopt(
+        self,
+        end_time: float,
+        x_end: np.ndarray,
+        covariance: Optional[np.ndarray],
+        residual: float,
+    ) -> None:
+        """Take a hypothesis' end-of-window state and its covariance."""
+        self._state = (end_time, x_end.copy())
+        if covariance is not None:
+            sigma = max(residual, self.noise_floor)
+            self._cov = covariance * sigma * sigma
         else:
             self._cov = None
 

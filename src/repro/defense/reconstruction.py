@@ -34,21 +34,35 @@ measurements as a handful of batched ``(n_subsets, …)`` array
 operations; no per-subset python loop touches LAPACK on the data path.
 :class:`IncrementalWindowSolver` caches those geometry kernels across a
 *sliding* window (keyed on the quantized dt-tuple, LRU-bounded), so a
-uniformly-sampled window pays the geometry build exactly once and every
-subsequent step is a pure data pass.  Appending a sample to a known
-geometry extends the cached Φ products and stacked rows instead of
-rebuilding them; evicting the oldest sample of a *uniform* window
-leaves the dt-tuple unchanged (a cache hit), which is why the common
-closed-loop case runs incrementally.  Results are bit-identical between
-the cached and from-scratch paths: both funnel through the same kernel
-construction and the same batched data pass.
+uniformly-sampled window pays the geometry lookup exactly once and
+every subsequent step is a pure data pass; evicting the oldest sample
+of a *uniform* window leaves the dt-tuple unchanged (a cache hit),
+which is why the common closed-loop case runs incrementally.
+
+Behind that per-solver cache sits one process-wide memo.  A geometry
+and its subset kernels are a pure function of ``C``, the rank
+tolerance, the window length and the window's per-interval
+``(A_k, B_k)``, so the memo is keyed on those values (the interval
+matrices' bytes), holds at most :data:`_GEOMETRY_MEMO_SIZE` entries
+(LRU) and is guarded by a lock, because the service's thread executor
+runs estimators concurrently.  A memo miss is always a fresh build.
+The four paper panels need 14 distinct geometries in all, so after the
+first few runs a solver's cache miss costs a key and a lookup, not a
+build.
+
+The data pass itself returns arrays; :class:`ReconstructionResult`
+builds its :class:`ReconstructionCandidate` objects only when they are
+read.  Results are bit-identical between the cached and from-scratch
+paths: both funnel through the same kernel construction and the same
+batched data pass.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,6 +83,14 @@ __all__ = [
 #: float jitter below physical relevance cannot grow the caches without
 #: bound (satellite of PR 10; one nanosecond at the radar's 1 s period).
 _DT_KEY_DECIMALS = 9
+
+#: Distinct window geometries the process-wide memo keeps (LRU).  The
+#: four paper panels need 14; the bound stops jittered windows from
+#: growing the memo without limit.
+_GEOMETRY_MEMO_SIZE = 128
+_GEOMETRY_MEMO: "Dict[Tuple, _WindowGeometry]" = {}
+#: Guards the memo and the subset kernels added to its geometries.
+_GEOMETRY_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -211,7 +233,6 @@ class ReconstructionCandidate:
     x_end_covariance: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
 class ReconstructionResult:
     """Outcome of :meth:`SecureStateReconstruct.solve`.
 
@@ -226,23 +247,144 @@ class ReconstructionResult:
     observable: how many ``C(p, p - s)`` hypotheses the solver examined
     and how many it eliminated (residual gate or rank deficiency) —
     ``searched - pruned == len(consistent)``.
+
+    A result of the batched data pass keeps the pass's arrays and builds
+    its candidates the first time ``candidates``, ``consistent`` or
+    ``best`` is read; :meth:`best_state` reads the arrays directly.
+    Treat every attribute as read-only.
     """
 
-    candidates: Tuple[ReconstructionCandidate, ...]
-    consistent: Tuple[ReconstructionCandidate, ...]
-    guaranteed: bool
-    unobservable_subsets: Tuple[Tuple[int, ...], ...] = field(
-        default_factory=tuple
+    __slots__ = (
+        "guaranteed",
+        "unobservable_subsets",
+        "subsets_searched",
+        "subsets_pruned",
+        "_built",
+        "_arrays",
     )
-    #: Number of sensor-subset hypotheses examined by the search.
-    subsets_searched: int = 0
-    #: Hypotheses eliminated (inconsistent residual or rank-deficient).
-    subsets_pruned: int = 0
+
+    def __init__(
+        self,
+        candidates: Sequence[ReconstructionCandidate],
+        consistent: Sequence[ReconstructionCandidate],
+        guaranteed: bool,
+        unobservable_subsets: Tuple[Tuple[int, ...], ...] = (),
+        subsets_searched: int = 0,
+        subsets_pruned: int = 0,
+    ):
+        self.guaranteed = guaranteed
+        self.unobservable_subsets = tuple(unobservable_subsets)
+        #: Number of sensor-subset hypotheses examined by the search.
+        self.subsets_searched = subsets_searched
+        #: Hypotheses eliminated (inconsistent residual or rank-deficient).
+        self.subsets_pruned = subsets_pruned
+        self._built = (tuple(candidates), tuple(consistent))
+        self._arrays = None
+
+    @classmethod
+    def _from_pass(
+        cls,
+        kernel: "_SubsetKernel",
+        x0: np.ndarray,
+        x_end: np.ndarray,
+        residuals: np.ndarray,
+        residual_threshold: float,
+        guaranteed: bool,
+    ) -> "ReconstructionResult":
+        """The result of one kernel's data pass, candidates unbuilt.
+
+        Subsets rank by a stable sort on residual; the consistent ones
+        are the observable subsets within the threshold, in that order.
+        """
+        values = residuals.tolist()
+        order = sorted(range(len(values)), key=values.__getitem__)
+        consistent = [
+            j
+            for j in order
+            if kernel.observable[j] and values[j] <= residual_threshold
+        ]
+        result = cls.__new__(cls)
+        result.guaranteed = guaranteed
+        result.unobservable_subsets = kernel.unobservable_subsets
+        result.subsets_searched = len(values)
+        result.subsets_pruned = len(values) - len(consistent)
+        result._built = None
+        result._arrays = (kernel, x0, x_end, values, order, consistent)
+        return result
+
+    def _candidates(self) -> tuple:
+        """``(candidates, consistent)``, built on first use."""
+        if self._built is None:
+            kernel, x0, x_end, values, order, consistent = self._arrays
+            # Row views, not copies: x0/x_end belong to this result and
+            # candidates are read-only by contract.
+            by_subset = {
+                j: ReconstructionCandidate(
+                    sensors=kernel.sensors[j],
+                    attacked=kernel.attacked[j],
+                    x0=x0[j],
+                    x_end=x_end[j],
+                    residual=values[j],
+                    observable=kernel.observable[j],
+                    x_end_covariance=kernel.covariances[j],
+                )
+                for j in order
+            }
+            self._built = (
+                tuple(by_subset[j] for j in order),
+                tuple(by_subset[j] for j in consistent),
+            )
+        return self._built
+
+    @property
+    def candidates(self) -> Tuple[ReconstructionCandidate, ...]:
+        """Every subset hypothesis, sorted by residual."""
+        return self._candidates()[0]
+
+    @property
+    def consistent(self) -> Tuple[ReconstructionCandidate, ...]:
+        """The observable hypotheses within the residual threshold."""
+        return self._candidates()[1]
 
     @property
     def best(self) -> Optional[ReconstructionCandidate]:
         """Lowest-residual consistent candidate (None when all rejected)."""
-        return self.consistent[0] if self.consistent else None
+        consistent = self.consistent
+        return consistent[0] if consistent else None
+
+    def best_state(
+        self,
+    ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray], float]]:
+        """``(x_end, x_end_covariance, residual)`` of :attr:`best`.
+
+        Read from the data pass's arrays, without building candidates;
+        None when every hypothesis was rejected.
+        """
+        if self._arrays is None:
+            best = self.best
+            if best is None:
+                return None
+            return best.x_end, best.x_end_covariance, best.residual
+        kernel, _x0, x_end, values, _order, consistent = self._arrays
+        if not consistent:
+            return None
+        j = consistent[0]
+        return x_end[j], kernel.covariances[j], values[j]
+
+    def __reduce__(self):
+        # Pickles and copies hold the built candidates, so a result
+        # pickles to the same bytes before and after it is first read.
+        return (
+            type(self),
+            (
+                self.candidates,
+                self.consistent,
+                self.guaranteed,
+                self.unobservable_subsets,
+                self.subsets_searched,
+                self.subsets_pruned,
+            ),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -413,26 +555,15 @@ class _SubsetKernel:
 class _WindowGeometry:
     """Measurement-independent state of one window dt-geometry."""
 
-    __slots__ = (
-        "key",
-        "powers",
-        "intervals",
-        "full_stack",
-        "input_map",
-        "kernels",
-    )
+    __slots__ = ("powers", "full_stack", "input_map", "kernels")
 
     def __init__(
         self,
-        key: Tuple,
         powers: np.ndarray,
-        intervals: Tuple[Tuple[np.ndarray, Optional[np.ndarray]], ...],
         full_stack: np.ndarray,
         input_map: Optional[np.ndarray],
     ):
-        self.key = key
         self.powers = powers  # (T, n, n) cumulative Φ(t_k, t_0)
-        self.intervals = intervals  # per-interval (A_k, B_k)
         self.full_stack = full_stack  # (T * p, n) rows k-major, sensor-minor
         # (T, n, (T-1)·m) linear map from the flattened input sequence to
         # the input contribution f[k]; None for input-free models.
@@ -464,43 +595,18 @@ def _interval_matrices(
 
 
 def _build_geometry(
-    A: np.ndarray,
-    B: Optional[np.ndarray],
     C: np.ndarray,
-    T: int,
-    dts: Optional[np.ndarray],
-    transition,
-    previous: Optional[_WindowGeometry] = None,
+    m: int,
+    intervals: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
 ) -> _WindowGeometry:
-    """Build (or extend) the Φ products and the stacked full system.
+    """The Φ products, stacked full system and input map of one window.
 
-    When ``previous`` covers this geometry's first ``T - 1`` samples the
-    new entry appends one transition product and ``p`` stacked rows to
-    the cached arrays instead of rebuilding — bit-identical to a fresh
-    build because the fresh build computes the exact same prefix.
+    ``m`` is the input width (0 for an input-free model, whose interval
+    ``B_k`` are then ignored); the window has ``len(intervals) + 1``
+    samples.
     """
-    n = A.shape[0]
-    key = _geometry_key(T, dts)
-    intervals = _interval_matrices(A, B, dts, transition, T)
-    m = B.shape[1] if B is not None else 0
-    if previous is not None and previous.io_length == T - 1:
-        A_last, B_last = intervals[-1]
-        new_power = A_last @ previous.powers[-1]
-        powers = np.concatenate([previous.powers, new_power[None]])
-        new_rows = C @ new_power
-        full_stack = np.concatenate([previous.full_stack, new_rows])
-        input_map = None
-        if m:
-            # Widen by one zero input block and append the recursion's
-            # next row — the fresh build computes the exact same blocks
-            # (matrix products against the old, unpadded slices).
-            input_map = np.zeros((T, n, (T - 1) * m))
-            input_map[: T - 1, :, : (T - 2) * m] = previous.input_map
-            input_map[T - 1, :, : (T - 2) * m] = (
-                A_last @ previous.input_map[T - 2]
-            )
-            input_map[T - 1, :, (T - 2) * m :] = B_last
-        return _WindowGeometry(key, powers, intervals, full_stack, input_map)
+    n = C.shape[1]
+    T = len(intervals) + 1
     powers = np.empty((T, n, n))
     powers[0] = np.eye(n)
     for k in range(T - 1):
@@ -515,7 +621,36 @@ def _build_geometry(
             A_k, B_k = intervals[k]
             input_map[k + 1, :, : k * m] = A_k @ input_map[k, :, : k * m]
             input_map[k + 1, :, k * m : (k + 1) * m] = B_k
-    return _WindowGeometry(key, powers, intervals, full_stack, input_map)
+    return _WindowGeometry(powers, full_stack, input_map)
+
+
+def _shared_geometry(
+    C: np.ndarray,
+    m: int,
+    rank_tolerance: float,
+    intervals: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
+) -> _WindowGeometry:
+    """The process-wide memo's geometry for one window (fresh on a miss).
+
+    Keyed on the values the geometry and its kernels are a function of:
+    ``C``, the input width, the rank tolerance, the window length and
+    the bytes of every interval's ``(A_k, B_k)`` (as float64, so equal
+    keys mean equal matrices).
+    """
+    blocks = [C.tobytes()]
+    for A_k, B_k in intervals:
+        blocks.append(np.asarray(A_k, float).tobytes())
+        if m:
+            blocks.append(np.asarray(B_k, float).tobytes())
+    key = (C.shape, m, rank_tolerance, len(intervals), b"".join(blocks))
+    with _GEOMETRY_MEMO_LOCK:
+        entry = _GEOMETRY_MEMO.pop(key, None)
+        if entry is None:
+            entry = _build_geometry(C, m, intervals)
+        _GEOMETRY_MEMO[key] = entry  # most recently used last
+        if len(_GEOMETRY_MEMO) > _GEOMETRY_MEMO_SIZE:
+            _GEOMETRY_MEMO.pop(next(iter(_GEOMETRY_MEMO)))
+    return entry
 
 
 def _input_contribution(
@@ -530,16 +665,17 @@ def _input_contribution(
     return geometry.input_map @ np.asarray(us, float).ravel()
 
 
-def _apply_kernel(
-    geometry: _WindowGeometry,
+def _kernel_pass(
     kernel: _SubsetKernel,
     targets_full: np.ndarray,
     f_end: np.ndarray,
     end_map: np.ndarray,
-    residual_threshold: float,
-    guaranteed: bool,
-) -> ReconstructionResult:
-    """The per-measurement batched data pass over one subset kernel."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-measurement batched data pass over one subset kernel.
+
+    Returns ``(x0, x_end, residuals)``, one row per subset in the
+    kernel's subset order.
+    """
     tgt = targets_full[kernel.row_indices]  # (n_sub, rows)
     x0 = (kernel.solve_maps @ tgt[:, :, None])[:, :, 0]  # (n_sub, n)
     pred = (kernel.stacked @ x0[:, :, None])[:, :, 0]
@@ -547,35 +683,7 @@ def _apply_kernel(
     sq = err * err
     residuals = np.sqrt(sq.sum(axis=1) / sq.shape[1])
     x_end = x0 @ end_map.T + f_end
-    n_sub = len(kernel.sensors)
-    # Row views, not copies: x0/x_end are freshly allocated per call and
-    # candidates are read-only by contract, so slicing is safe.
-    candidates = [
-        ReconstructionCandidate(
-            sensors=kernel.sensors[j],
-            attacked=kernel.attacked[j],
-            x0=x0[j],
-            x_end=x_end[j],
-            residual=float(residuals[j]),
-            observable=kernel.observable[j],
-            x_end_covariance=kernel.covariances[j],
-        )
-        for j in range(n_sub)
-    ]
-    candidates.sort(key=lambda c: c.residual)
-    consistent = tuple(
-        c
-        for c in candidates
-        if c.observable and c.residual <= residual_threshold
-    )
-    return ReconstructionResult(
-        candidates=tuple(candidates),
-        consistent=consistent,
-        guaranteed=guaranteed,
-        unobservable_subsets=kernel.unobservable_subsets,
-        subsets_searched=n_sub,
-        subsets_pruned=n_sub - len(consistent),
-    )
+    return x0, x_end, residuals
 
 
 # ----------------------------------------------------------------------
@@ -593,9 +701,11 @@ class IncrementalWindowSolver:
     products, stacked subset maps, ranks, solve operators, covariances,
     the 2s-sparse observability verdict) on that dt-tuple and reuses
     it, so the steady-state cost per step is one cache lookup plus the
-    batched data pass.  Candidates are **bit-identical** to a
-    from-scratch :meth:`SecureStateReconstruct.solve` on the same
-    window — both run the same kernel code on the same arrays.
+    batched data pass.  A miss here takes the geometry from the
+    process-wide memo (see the module docstring).  Candidates are
+    **bit-identical** to a from-scratch
+    :meth:`SecureStateReconstruct.solve` on the same window — both run
+    the same kernel code on the same arrays.
 
     Parameters
     ----------
@@ -652,7 +762,7 @@ class IncrementalWindowSolver:
         """Geometry LRU, observability memo and counters, as a record.
 
         The dicts are copied.  The cached geometries are pure functions
-        of their dt-key (a subset kernel added to one later only fills
+        of their window (a subset kernel added to one later only fills
         its cache), so they are shared.
         """
         return (
@@ -686,18 +796,20 @@ class IncrementalWindowSolver:
             self.geometry_hits += 1
             self._geometries[key] = self._geometries.pop(key)
             return entry
-        # Append path: the same window minus its newest sample is known
-        # — extend the cached Φ products / stacked rows by one step.
-        previous = None
-        if T > 2:
-            prev_key = _geometry_key(T - 1, None if dts is None else dts[:-1])
-            previous = self._geometries.get(prev_key)
-        if previous is not None:
+        # A miss whose window minus its newest sample is cached here is
+        # counted as an extension (the counters feed defense_stats);
+        # either way the geometry comes from the process-wide memo.
+        if T > 2 and _geometry_key(
+            T - 1, None if dts is None else dts[:-1]
+        ) in self._geometries:
             self.geometry_extensions += 1
         else:
             self.geometry_misses += 1
-        entry = _build_geometry(
-            self.A, self.B, self.C, T, dts, self.transition, previous=previous
+        entry = _shared_geometry(
+            self.C,
+            self.B.shape[1] if self.B is not None else 0,
+            self.rank_tolerance,
+            _interval_matrices(self.A, self.B, dts, self.transition, T),
         )
         self._geometries[key] = entry
         if len(self._geometries) > self.max_geometries:
@@ -708,16 +820,18 @@ class IncrementalWindowSolver:
         kernel = geometry.kernels.get(s)
         if kernel is None:
             T = geometry.io_length
-            kernel = _SubsetKernel(
-                geometry.full_stack,
-                geometry.powers[T - 1],
-                self.C.shape[0],
-                s,
-                T,
-                self.A.shape[0],
-                self.rank_tolerance,
-            )
-            geometry.kernels[s] = kernel
+            with _GEOMETRY_MEMO_LOCK:  # memo geometries are shared
+                kernel = geometry.kernels.get(s)
+                if kernel is None:
+                    kernel = geometry.kernels[s] = _SubsetKernel(
+                        geometry.full_stack,
+                        geometry.powers[T - 1],
+                        self.C.shape[0],
+                        s,
+                        T,
+                        self.A.shape[0],
+                        self.rank_tolerance,
+                    )
         return kernel
 
     def _guarantee(self, s: int) -> bool:
@@ -764,16 +878,14 @@ class IncrementalWindowSolver:
         results: Dict[int, ReconstructionResult] = {}
         for s in sparsities:
             kernel = self._kernel(geometry, s)
-            results[s] = _apply_kernel(
-                geometry,
+            result = ReconstructionResult._from_pass(
                 kernel,
-                targets_full,
-                f_end,
-                end_map,
+                *_kernel_pass(kernel, targets_full, f_end, end_map),
                 self.residual_threshold,
                 self._guarantee(s),
             )
-            self.subsets_solved += results[s].subsets_searched
+            self.subsets_solved += result.subsets_searched
+            results[s] = result
         return results
 
     @property
@@ -822,13 +934,13 @@ class SecureStateReconstruct:
         self.problem = problem
         self.residual_threshold = float(residual_threshold)
         self.rank_tolerance = float(rank_tolerance)
+        intervals = _interval_matrices(
+            problem.A, problem.B, problem.dts, transition, problem.io_length
+        )
         self._geometry = _build_geometry(
-            problem.A,
-            problem.B,
             problem.C,
-            problem.io_length,
-            problem.dts,
-            transition,
+            problem.B.shape[1] if problem.B is not None else 0,
+            intervals,
         )
         # Back-compat views of the construction-time window state.
         self._powers = self._geometry.powers
@@ -859,12 +971,14 @@ class SecureStateReconstruct:
         guaranteed = is_sparse_observable(
             problem.A, problem.C, 2 * problem.s, tolerance=self.rank_tolerance
         )
-        return _apply_kernel(
-            self._geometry,
+        return ReconstructionResult._from_pass(
             kernel,
-            targets_full,
-            self._inputs[T - 1],
-            self._geometry.powers[T - 1],
+            *_kernel_pass(
+                kernel,
+                targets_full,
+                self._inputs[T - 1],
+                self._geometry.powers[T - 1],
+            ),
             self.residual_threshold,
             guaranteed,
         )

@@ -96,6 +96,14 @@ class PlatoonScenario:
             raise ConfigurationError(
                 f"initial_gap must be positive, got {self.initial_gap}"
             )
+        if self.defense.uses_safety_filter:
+            # The platoon loop builds no SafetyFilter: running would
+            # silently drop the clamp and behave like the estimator alone.
+            raise ConfigurationError(
+                f"defense strategy {self.defense.strategy!r} is not "
+                "supported on a platoon (its loop applies no safety "
+                "filter); use 'rls' or 'secure_reconstruction'"
+            )
 
     def to_pair_scenario(self) -> Scenario:
         """The equivalent two-vehicle scenario (for pipeline building)."""

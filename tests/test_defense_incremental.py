@@ -5,25 +5,39 @@ PR 10's contract: the batched subset kernels and the geometry-caching
 :class:`SecureStateReconstruct` on every window — same candidates, same
 arrays, ``==`` not ``allclose`` — across uniform windows, the
 non-uniform windows challenge-instant holes leave, sensor counts
-2/4/6, cache-eviction boundaries and the append/extend path.  Plus the
+2/4/6, cache-eviction boundaries and growing windows.  Plus the
 bounded caches themselves (:class:`TransitionCache` quantization/LRU,
-geometry LRU) and the estimator-level ``solver_mode`` equivalence.
+the per-solver geometry LRU, the process-wide geometry memo and its
+thread safety) and a per-window lock-step check of the estimator
+against from-scratch solves.
 """
+
+import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.defense import (
     SecureReconstructionEstimator,
     SecureStateReconstruct,
     SSProblem,
 )
+from repro.defense import reconstruction
+from repro.defense.estimator import _transition_builder
 from repro.defense.reconstruction import (
     IncrementalWindowSolver,
     TransitionCache,
+    _build_geometry,
+    _geometry_key,
+    _SubsetKernel,
 )
 from repro.exceptions import ConfigurationError
+from repro.simulation import result_to_dict
 from repro.types import RadarMeasurement
 
 
@@ -106,6 +120,18 @@ class TestBatchedMatchesNaive:
             np.testing.assert_allclose(cb.x0, cn.x0, atol=1e-8)
             np.testing.assert_allclose(cb.x_end, cn.x_end, atol=1e-8)
 
+    def test_best_state_reads_the_best_candidate(self):
+        ys, us, C, A, B = measurement_stream(4, 8)
+        ys[:, 2] += 30.0  # one attacked sensor
+        solver = SecureStateReconstruct(
+            SSProblem(A, B, C, ys, us=us, s=1), residual_threshold=0.5
+        )
+        for result in (solver.solve(), solver.solve_naive()):
+            x_end, covariance, residual = result.best_state()
+            assert np.array_equal(x_end, result.best.x_end)
+            assert np.array_equal(covariance, result.best.x_end_covariance)
+            assert residual == result.best.residual
+
     def test_search_accounting_fields(self):
         # subsets_searched counts every C(p, p-s) hypothesis; pruned is
         # the complement of the consistent set.
@@ -158,9 +184,10 @@ class TestIncrementalBitIdentity:
         if uniform:
             assert solver.geometry_hits == steps - 1
 
-    def test_growing_window_uses_extension_path(self):
-        # Appending one sample to a cached geometry extends it instead
-        # of rebuilding — and stays bit-identical to a fresh build.
+    def test_growing_window_counts_extensions(self):
+        # A miss whose window minus its newest sample is cached counts
+        # as an extension (defense_stats keeps that counter), and the
+        # result stays bit-identical to a fresh build.
         ys, us, C, A, B = measurement_stream(3, 10)
         solver = IncrementalWindowSolver(A, B, C, residual_threshold=0.5)
         for T in range(2, 10):
@@ -279,11 +306,11 @@ class TestTransitionCache:
             TransitionCache(continuous_double_integrator, maxsize=0)
 
 
-class TestEstimatorSolverModes:
-    """solver_mode='incremental' and 'from_scratch' are interchangeable."""
+class TestEstimatorWindows:
+    """The estimator, window by window, against from-scratch solves."""
 
     @staticmethod
-    def _feed(estimator, steps, hole_every=None):
+    def _stream(steps, hole_every=None):
         v_f = 20.0
         k = 0
         fed = 0
@@ -294,36 +321,89 @@ class TestEstimatorSolverModes:
             t = float(k)
             gap = 80.0 - 0.8 * t + 0.05 * np.sin(1.3 * k)
             rel_v = -0.8 + 0.02 * np.cos(2.1 * k)
-            estimator.observe(
+            yield (
                 RadarMeasurement(
                     time=t, distance=gap, relative_velocity=rel_v
                 ),
                 v_f + 0.01 * np.sin(0.7 * k),
             )
             fed += 1
+
+    @classmethod
+    def _feed(cls, estimator, steps, hole_every=None):
+        for measurement, speed in cls._stream(steps, hole_every):
+            estimator.observe(measurement, speed)
         return estimator
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ConfigurationError, match="solver_mode"):
-            SecureReconstructionEstimator(solver_mode="cached")
+    @staticmethod
+    def _window(estimator):
+        """``(ys, us, dts)`` of the estimator's current window."""
+        window = np.asarray(estimator._samples)
+        times, speeds = window[:, 0], window[:, 3]
+        dts = times[1:] - times[:-1]
+        us = np.zeros((len(dts), 1))
+        np.divide(
+            speeds[1:] - speeds[:-1], dts, out=us[:, 0], where=dts > 1e-9
+        )
+        return window[:, 1:3], us, dts
 
     @pytest.mark.parametrize("hole_every", [None, 6], ids=["uniform", "holes"])
-    def test_modes_bit_identical(self, hole_every):
-        incremental = SecureReconstructionEstimator(solver_mode="incremental")
-        scratch = SecureReconstructionEstimator(solver_mode="from_scratch")
-        for estimator in (incremental, scratch):
-            self._feed(estimator, 40, hole_every=hole_every)
-        assert results_equal(incremental.last_result, scratch.last_result)
-        assert incremental._state[0] == scratch._state[0]
-        assert np.array_equal(incremental._state[1], scratch._state[1])
-        # The shared subset accounting agrees mode-to-mode...
-        for key in ("windows_solved", "subsets_searched", "subsets_pruned"):
-            assert (
-                incremental.search_stats()[key] == scratch.search_stats()[key]
+    def test_every_window_matches_from_scratch(self, hole_every):
+        estimator = SecureReconstructionEstimator()
+        transition = TransitionCache(_transition_builder)
+        solved = 0
+        for measurement, speed in self._stream(40, hole_every):
+            estimator.observe(measurement, speed)
+            if len(estimator._samples) < 2:
+                continue
+            ys, us, dts = self._window(estimator)
+            full, sparse = (
+                SecureStateReconstruct(
+                    SSProblem(
+                        estimator.A, estimator.B, estimator.C, ys,
+                        us=us, s=s, dts=dts,
+                    ),
+                    residual_threshold=estimator.residual_threshold,
+                    rank_tolerance=estimator.rank_tolerance,
+                    transition=transition,
+                ).solve()
+                for s in (0, estimator.sparsity)
             )
-        # ...and only the incremental mode exercises the geometry cache.
-        assert incremental.search_stats()["geometry_hits"] > 0
-        assert scratch.search_stats()["geometry_hits"] == 0
+            assert results_equal(estimator.last_result, sparse), solved
+            best = full.best or sparse.best
+            assert best is not None  # no fallback on this stream
+            assert estimator._state[0] == measurement.time
+            assert np.array_equal(estimator._state[1], best.x_end), solved
+            sigma = max(best.residual, estimator.noise_floor)
+            assert np.array_equal(
+                estimator._cov, best.x_end_covariance * sigma * sigma
+            )
+            solved += 1
+        assert solved == estimator.windows_solved == 39
+        assert estimator.search_stats()["geometry_hits"] > 0
+
+    def test_lazy_last_result_equals_solve_many(self):
+        estimator = self._feed(
+            SecureReconstructionEstimator(), 20, hole_every=5
+        )
+        lazy = estimator.last_result
+        assert lazy._built is None  # nothing has read the candidates yet
+        ys, us, dts = self._window(estimator)
+        solver = IncrementalWindowSolver(
+            estimator.A,
+            estimator.B,
+            estimator.C,
+            residual_threshold=estimator.residual_threshold,
+            transition=TransitionCache(_transition_builder),
+        )
+        expected = solver.solve_many(ys, us, dts, (0, 1))[1]
+        assert results_equal(lazy, expected)
+        assert lazy._built is not None
+        # consistent holds the very candidate objects, in residual order.
+        assert all(
+            any(c is d for d in lazy.candidates) for c in lazy.consistent
+        )
+        assert lazy.best is lazy.consistent[0]
 
     def test_transition_cache_bounded_under_jittered_sampling(self):
         # Per-step float jitter must not grow the dt-memo without bound.
@@ -360,3 +440,124 @@ class TestEstimatorSolverModes:
             "transition_evictions",
         ):
             assert stats[key] >= 0
+
+
+def _clear_geometry_memo():
+    with reconstruction._GEOMETRY_MEMO_LOCK:
+        reconstruction._GEOMETRY_MEMO.clear()
+
+
+class TestGeometryMemo:
+    """The process-wide, content-addressed geometry memo."""
+
+    def test_cold_and_warm_memo_give_equal_runs(self):
+        scenario = repro.fig2_scenario("dos")
+        _clear_geometry_memo()
+        cold = result_to_dict(
+            repro.run(scenario, backend="scalar", defense="combined")
+        )
+        assert reconstruction._GEOMETRY_MEMO  # the cold run filled it
+        warm = result_to_dict(
+            repro.run(scenario, backend="scalar", defense="combined")
+        )
+        assert cold["defense_stats"] == warm["defense_stats"]
+        assert cold["defense_stats"]["geometry_misses"] > 0
+        assert json.dumps(cold, sort_keys=True) == json.dumps(
+            warm, sort_keys=True
+        )
+
+    def test_memo_stays_within_its_bound(self):
+        ys, us, C, A, B = measurement_stream(2, 6)
+        solver = IncrementalWindowSolver(
+            A,
+            B,
+            C,
+            residual_threshold=0.5,
+            transition=continuous_double_integrator,
+            max_geometries=4,
+        )
+        bound = reconstruction._GEOMETRY_MEMO_SIZE
+        for k in range(bound + 10):
+            # Jitter above the dt quantization: every window is a new
+            # geometry with its own interval matrices.
+            solver.solve(ys, us, np.ones(5) + 1e-6 * (k + 1), 1)
+            assert len(reconstruction._GEOMETRY_MEMO) <= bound
+        assert len(reconstruction._GEOMETRY_MEMO) == bound
+        assert solver.geometry_misses == bound + 10
+        assert solver.cached_geometries == 4
+
+    def test_memo_entry_equals_fresh_build(self):
+        ys, us, C, A, B = measurement_stream(3, 8)
+        dts = np.array([1.0, 2.0, 1.0, 1.0, 0.5, 1.0, 1.0])
+        solver = IncrementalWindowSolver(
+            A,
+            B,
+            C,
+            residual_threshold=0.5,
+            transition=continuous_double_integrator,
+        )
+        solver.solve(ys, us, dts, 1)
+        entry = solver._geometries[_geometry_key(8, dts)]
+        fresh = _build_geometry(
+            C, 1, [continuous_double_integrator(float(dt)) for dt in dts]
+        )
+        for name in ("powers", "full_stack", "input_map"):
+            assert np.array_equal(getattr(entry, name), getattr(fresh, name))
+        kernel = entry.kernels[1]
+        fresh_kernel = _SubsetKernel(
+            fresh.full_stack, fresh.powers[-1], 3, 1, 8, 2, 1e-10
+        )
+        for name in ("stacked", "solve_maps"):
+            assert np.array_equal(
+                getattr(kernel, name), getattr(fresh_kernel, name)
+            )
+        assert kernel.ranks == fresh_kernel.ranks
+        for a, b in zip(kernel.covariances, fresh_kernel.covariances):
+            assert np.array_equal(a, b)
+
+    def test_threads_solving_the_same_windows_agree(self):
+        ys, us, C, A, B = measurement_stream(4, 30)
+        dts = np.ones(29)
+        dts[::4] = 2.0  # holes: several geometries per stream
+        barrier = threading.Barrier(4)
+
+        def solve_stream(_):
+            solver = IncrementalWindowSolver(
+                A,
+                B,
+                C,
+                residual_threshold=0.5,
+                transition=continuous_double_integrator,
+            )
+            barrier.wait(timeout=30)
+            return [
+                solver.solve_many(
+                    ys[k : k + 6], us[k : k + 5], dts[k : k + 5], (1, 2)
+                )
+                for k in range(24)
+            ]
+
+        _clear_geometry_memo()  # every thread starts on a cold memo
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                streams = list(pool.map(solve_stream, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        # Each distinct window geometry was built once and shared.
+        assert len(reconstruction._GEOMETRY_MEMO) == len(
+            {dts[k : k + 5].tobytes() for k in range(24)}
+        )
+        for k in range(24):
+            scratch = SecureStateReconstruct(
+                SSProblem(
+                    A, B, C, ys[k : k + 6], us=us[k : k + 5], s=2,
+                    dts=dts[k : k + 5],
+                ),
+                residual_threshold=0.5,
+                transition=continuous_double_integrator,
+            ).solve()
+            for stream in streams:
+                assert results_equal(stream[k][2], scratch), k
+                assert results_equal(stream[k][1], streams[0][k][1]), k

@@ -213,7 +213,9 @@ def _digest(result):
 #: digests were recorded with the deep-copy snapshots these records
 #: replaced; the fig2a undefended and ``safety_filter`` digests with the
 #: per-step ``SimulationResult.record`` calls that columnar recording
-#: replaced.
+#: replaced; the fig2b/fig3a reconstruction digests with per-run window
+#: geometries built by extension and eager ``ReconstructionCandidate``
+#: lists.
 GOLDEN_DIGESTS = {
     ("fig2a", "rls"):
         "c4b4b636a5cff5dd8c61d385adf030490b65a6d883b68a330d066918bb546f98",
@@ -221,6 +223,14 @@ GOLDEN_DIGESTS = {
         "14ec5ba2d352d72fb5ec2687ce867966ccfe73427c924ca55da583c34af222df",
     ("fig2a", "combined"):
         "14ec5ba2d352d72fb5ec2687ce867966ccfe73427c924ca55da583c34af222df",
+    ("fig2b", "secure_reconstruction"):
+        "e372a34ef7c29b3a1d024855edb57b30567d0a9cc80223852e544bb61189245f",
+    ("fig2b", "combined"):
+        "e372a34ef7c29b3a1d024855edb57b30567d0a9cc80223852e544bb61189245f",
+    ("fig3a", "secure_reconstruction"):
+        "d591c7023bf33cabb662f64d526891afa080fd0089770fbf8260a6ba2923f78b",
+    ("fig3a", "combined"):
+        "d591c7023bf33cabb662f64d526891afa080fd0089770fbf8260a6ba2923f78b",
     ("fig3b", "rls"):
         "fb055bbf087618179cf7bc1f4edab5f8496ccf03ef1cd35aa46e090e24c1c6d6",
     ("fig3b", "secure_reconstruction"):
@@ -247,6 +257,8 @@ UNDEFENDED_RUNS = {
 
 PANELS = {
     "fig2a": lambda: fig2_scenario("dos"),
+    "fig2b": lambda: fig2_scenario("delay"),
+    "fig3a": lambda: fig3_scenario("dos"),
     "fig3b": lambda: fig3_scenario("delay"),
 }
 

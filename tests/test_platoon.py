@@ -5,7 +5,7 @@ import pytest
 
 from repro.attacks import AttackWindow, DoSJammingAttack
 from repro.exceptions import ConfigurationError
-from repro.simulation import PlatoonScenario, PlatoonSimulation
+from repro.simulation import DefenseConfig, PlatoonScenario, PlatoonSimulation
 from repro.vehicle import ConstantAccelerationProfile
 
 
@@ -40,6 +40,22 @@ class TestScenarioValidation:
     def test_rejects_bad_gap(self):
         with pytest.raises(ConfigurationError):
             make_scenario(initial_gap=0.0)
+
+    @pytest.mark.parametrize("strategy", ["safety_filter", "combined"])
+    def test_rejects_strategies_needing_the_safety_filter(self, strategy):
+        # The platoon loop has no safety filter; running would give
+        # the estimator-only traces with no error.
+        with pytest.raises(ConfigurationError, match=repr(strategy)):
+            make_scenario(
+                n_followers=2,
+                defended_followers=(0,),
+                defense=DefenseConfig(strategy=strategy),
+            )
+
+    @pytest.mark.parametrize("strategy", ["rls", "secure_reconstruction"])
+    def test_accepts_estimator_strategies(self, strategy):
+        scenario = make_scenario(defense=DefenseConfig(strategy=strategy))
+        assert scenario.defense.strategy == strategy
 
 
 class TestCleanPlatoon:
